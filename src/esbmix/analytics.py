@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import beta as beta_dist
+from scipy.special import betainc, gammaln
 
 from .eppf import Dirichlet, EppfModel, IdenticalDegenerate, IidDegenerate, PitmanYor
 from .numerics import gauss_2f1_11, log_beta_moment, log_rising_factorial
@@ -128,7 +127,7 @@ def _mean_cdf_of_c(base_a: float, base_b: float, mc_draws: int, rng) -> float:
         raise ValueError("Monte Carlo evaluation needs an rng")
     v = rng.beta(base_a, base_b, size=mc_draws)
     c = np.minimum(1.0, v / (1.0 - v))
-    return float(np.mean(beta_dist.cdf(c, base_a, base_b)))
+    return float(np.mean(betainc(base_a, base_b, c)))
 
 
 def ordering_probability_general(
@@ -168,7 +167,7 @@ def conditional_ordering_probability(
     vj = float(prefix.values[-1])
     c = weight_ordering_c(vj)
     existing, new_w = model.prediction_weights(prefix.counts)
-    total = float(new_w) * float(beta_dist.cdf(c, base_a, base_b))
+    total = float(new_w) * float(betainc(base_a, base_b, c))
     for i, vstar in enumerate(prefix.distinct):
         if vstar <= c:
             total += float(existing[i])
@@ -554,19 +553,15 @@ def kn_paths(spec, n_max: int, replicates: int, rng: np.random.Generator) -> np.
     the distinct allocations among the first i+1 draws of replicate r, so
     every row is monotone and prefix-consistent."""
     d = sample_allocations(spec, n_max, replicates, rng)
-    R = d.shape[0]
-    kn = np.empty((R, n_max), dtype=np.int64)
-    seen_max = int(d.max()) + 1
-    seen = np.zeros((R, seen_max + 1), dtype=bool)
-    rows = np.arange(R)
-    running = np.zeros(R, dtype=np.int64)
-    for i in range(n_max):
-        col = d[:, i]
-        fresh = ~seen[rows, col]
-        running += fresh
-        seen[rows, col] = True
-        kn[:, i] = running
-    return kn
+    # a draw is new when it is the first of its value in the row: a stable
+    # sort keeps equal values in draw order, so the first of each run counts
+    order = np.argsort(d, axis=1, kind="stable")
+    ranked = np.take_along_axis(d, order, axis=1)
+    first = np.ones(d.shape, dtype=bool)
+    first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    fresh = np.empty_like(first)
+    np.put_along_axis(fresh, order, first, axis=1)
+    return np.cumsum(fresh, axis=1, dtype=np.int64)
 
 
 def sample_kn(spec, n: int, replicates: int, rng: np.random.Generator) -> KnSummary:

@@ -177,7 +177,7 @@ def write_manifest(outdir, subcommand, config, seed, threads, runtime, extra=Non
 
 
 def load_data_csv(path, expect_header=False):
-    """1 or 2 numeric columns, one observation per row."""
+    """1 or 2 finite numeric columns, one observation per row."""
     rows = []
     ncols = None
     with open(path, newline="") as f:
@@ -194,9 +194,12 @@ def load_data_csv(path, expect_header=False):
             if len(row) != ncols:
                 raise ConfigError(f"{path}:{lineno}: expected {ncols} columns, got {len(row)}")
             try:
-                rows.append([float(c) for c in row])
+                values = [float(c) for c in row]
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(f"{path}:{lineno}: non-finite value in {row}")
+            rows.append(values)
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=float)

@@ -4,6 +4,8 @@ stick-breaking priors with exchangeable length variables.
 One sweep updates: slice variables, the truncation level (extending sticks
 and atoms as far as the slices require), length variables (with their tie
 structure), allocations, kernel atoms, and optionally the tie probability.
+The length conditionals read the slices only through the per-stick maxima
+U_max[l] = max{u_k : d_k = l}, so they cost O(phi) per stick, not O(n).
 Posterior summaries (EAP density, MAP sweep, clusters, K_n) are computed
 from retained sweeps.
 """
@@ -13,12 +15,11 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import beta as beta_dist
+from scipy.special import betainc, betaincinv, betaln, gammaln, xlog1py, xlogy
 from scipy.stats import invwishart
 
 from .analytics import KnSummary
-from .eppf import Dirichlet, EppfModel
+from .eppf import Dirichlet, EppfModel, IdenticalDegenerate
 from .sticks import (
     IidBeta,
     LengthPrefix,
@@ -323,10 +324,6 @@ def _resolve(prior: PriorSpec, rho: Optional[float]):
     return model, a, b
 
 
-def _spec_for(model: EppfModel, a: float, b: float) -> SpeciesDriven:
-    return SpeciesDriven(model, a, b)
-
-
 def initial_state(data: np.ndarray, config: FitConfig, rng: np.random.Generator) -> GibbsState:
     """Everything in one component to start; the first sweeps expand it."""
     n = len(data)
@@ -335,7 +332,7 @@ def initial_state(data: np.ndarray, config: FitConfig, rng: np.random.Generator)
         rho = rng.uniform(config.prior.rho_lo, config.prior.rho_hi)
         rho = min(max(rho, 1e-12), 1.0 - 1e-12)
     model, a, b = _resolve(config.prior, rho)
-    lengths = sample_lengths_prefix(_spec_for(model, a, b), 1, rng)
+    lengths = sample_lengths_prefix(SpeciesDriven(model, a, b), 1, rng)
     weights = sb_transform(lengths.values)
     atoms = [config.kernel.sample_prior(rng)]
     d = np.zeros(n, dtype=np.int64)
@@ -388,7 +385,7 @@ def ensure_truncation(
     max_k(1 - u_k): extend with conditional prior draws (atoms from the base
     measure), and trim sticks the slices no longer reach."""
     threshold = float(np.max(1.0 - state.u)) if len(state.u) else 0.0
-    spec = _spec_for(model, base_a, base_b)
+    spec = SpeciesDriven(model, base_a, base_b)
     prefix = state.lengths
 
     prefix, weights = extend_weights_until(prefix, spec, min(threshold, 1.0 - 1e-15), rng)
@@ -444,6 +441,20 @@ def update_allocations(state: GibbsState, data, kernel: MixtureKernel, rng) -> G
     return state
 
 
+def _beta_logpdf(x, a, b):
+    """log Be(x | a, b), the expression scipy.stats.beta evaluates."""
+    return xlog1py(b - 1.0, -x) + xlogy(a - 1.0, x) - betaln(a, b)
+
+
+def _slice_maxima(state: GibbsState) -> np.ndarray:
+    """U_max[l] = max{u_k : d_k = l} per instantiated stick, 0 on sticks that
+    hold no datum (every slice is positive).  The length conditionals depend
+    on the slices only through these maxima (Kalli, Griffin & Walker 2011)."""
+    umax = np.zeros(state.phi)
+    np.maximum.at(umax, state.d, state.u)
+    return umax
+
+
 def length_conditional_options(model, base_a, base_b, distinct, counts_minus, a_j, b_j):
     """Mixture weights of one stick's full conditional on the interval
     (a_j, b_j): one entry per other-stick distinct value (masked to the
@@ -454,8 +465,8 @@ def length_conditional_options(model, base_a, base_b, distinct, counts_minus, a_
     """
     active = [s for s in range(len(distinct)) if counts_minus[s] > 0]
     existing, new_w = model.prediction_weights([counts_minus[s] for s in active])
-    cdf_a = float(beta_dist.cdf(a_j, base_a, base_b))
-    cdf_b = float(beta_dist.cdf(b_j, base_a, base_b))
+    cdf_a = float(betainc(base_a, base_b, a_j))
+    cdf_b = float(betainc(base_a, base_b, b_j))
     opt_w = [
         float(existing[i]) if a_j < distinct[s] < b_j else 0.0
         for i, s in enumerate(active)
@@ -478,35 +489,28 @@ def update_lengths(
     phi = len(prefix)
     v = prefix.values
     weights = state.weights.copy()
-    u, d = state.u, state.d
-    n = len(u)
+    umax = _slice_maxima(state)
 
-    from .eppf import IdenticalDegenerate as _Identical
-
-    if isinstance(model, _Identical) and len(prefix.distinct) == 1:
+    if isinstance(model, IdenticalDegenerate) and len(prefix.distinct) == 1:
         # single shared value: per-position conditionals are point masses at
         # the current value, so only the joint class refresh can move it
-        _refresh_distinct_values(state, base_a, base_b, rng)
+        _refresh_distinct_values(state, umax, base_a, base_b, rng)
         return state
 
+    occupied = np.flatnonzero(umax)
     atom_index = list(prefix.atom_index)
     distinct = list(prefix.distinct)
     counts = list(prefix.counts)
 
     prefix_prod = 1.0  # prod_{i<j} (1 - v_i)
     for j in range(phi):
-        # interval (a_j, b_j) keeping every slice indicator satisfied
-        a_j, b_j = 0.0, 1.0
-        if n:
-            in_a = d == j
-            if in_a.any():
-                a_j = float(np.max(u[in_a])) / prefix_prod
-            in_b = d > j
-            if in_b.any():
-                ratio = float(np.max(u[in_b] / weights[d[in_b]]))
-                b_j = 1.0 - (1.0 - v[j]) * ratio
-        a_j = max(a_j, 0.0)
-        b_j = min(b_j, 1.0)
+        # interval (a_j, b_j) keeping every slice indicator satisfied; empty
+        # sticks are left out, their weights may have underflowed to 0
+        a_j = float(umax[j]) / prefix_prod if umax[j] > 0.0 else 0.0
+        b_j = 1.0
+        later = occupied[occupied > j]
+        if len(later):
+            b_j = 1.0 - (1.0 - v[j]) * float(np.max(umax[later] / weights[later]))
         if not a_j < b_j:
             state.infeasible_slices += 1
             prefix_prod *= 1.0 - v[j]
@@ -539,7 +543,7 @@ def update_lengths(
             new_val = distinct[new_slot]
         else:
             q = cdf_a + rng.random() * (cdf_b - cdf_a)
-            new_val = float(beta_dist.ppf(q, base_a, base_b))
+            new_val = float(betaincinv(base_a, base_b, q))
             new_val = min(max(new_val, np.nextafter(a_j, 1.0)), np.nextafter(b_j, 0.0))
             new_val = min(max(new_val, 1e-300), 1.0 - 1e-16)
             while new_val in distinct:
@@ -553,23 +557,14 @@ def update_lengths(
         weights = sb_transform(v)
         prefix_prod *= 1.0 - v[j]
 
-    # compact empty slots, remapping in order of first appearance
-    slot_map = {}
-    compact = LengthPrefix()
-    for pos in range(phi):
-        old_slot = atom_index[pos]
-        if old_slot not in slot_map:
-            slot_map[old_slot] = len(slot_map)
-            compact.append(slot_map[old_slot], distinct[old_slot])
-        else:
-            compact.append(slot_map[old_slot])
-    state.lengths = compact
-    state.weights = sb_transform(compact.values)
-    _refresh_distinct_values(state, base_a, base_b, rng)
+    # drop emptied slots, renumbering in order of first appearance
+    state.lengths = _truncate_prefix(LengthPrefix(atom_index, distinct, counts), phi)
+    state.weights = sb_transform(state.lengths.values)
+    _refresh_distinct_values(state, umax, base_a, base_b, rng)
     return state
 
 
-def _refresh_distinct_values(state, base_a, base_b, rng, max_shrink=60):
+def _refresh_distinct_values(state, umax, base_a, base_b, rng, max_shrink=60):
     """Resample each tie class's value from the base density restricted by
     the slice indicators, moving all positions of the class together.
 
@@ -577,10 +572,11 @@ def _refresh_distinct_values(state, base_a, base_b, rng, max_shrink=60):
     times the indicator constraints, so this is an exact conditional update.
     Without it a class can only change value by dissolving; in particular the
     single-block (Geometric) case would never move its shared length at all.
+    A trial value is feasible when every occupied stick keeps U_max[l] < w_l.
     """
     prefix = state.lengths
-    u, d = state.u, state.d
-    n = len(u)
+    occupied = np.flatnonzero(umax)
+    slice_max = umax[occupied]
     v = prefix.values
     for slot in range(len(prefix.distinct)):
         positions = np.flatnonzero(np.asarray(prefix.atom_index) == slot)
@@ -589,17 +585,17 @@ def _refresh_distinct_values(state, base_a, base_b, rng, max_shrink=60):
             trial = v.copy()
             trial[positions] = x
             w = sb_transform(trial)
-            if n and np.any(u >= w[d]):
+            if np.any(slice_max >= w[occupied]):
                 return None
             return w
 
         x0 = prefix.distinct[slot]
-        level = beta_dist.logpdf(x0, base_a, base_b) - rng.exponential()
+        level = _beta_logpdf(x0, base_a, base_b) - rng.exponential()
         left, right = 0.0, 1.0
         for _ in range(max_shrink):
             x1 = left + rng.random() * (right - left)
             if (x1 not in prefix.distinct
-                    and beta_dist.logpdf(x1, base_a, base_b) > level):
+                    and _beta_logpdf(x1, base_a, base_b) > level):
                 w = feasible(x1)
                 if w is not None:
                     prefix.distinct[slot] = float(x1)
@@ -691,7 +687,7 @@ def complete_data_log_score(
     if lp == -np.inf:
         return -np.inf
     score += lp
-    score += float(np.sum(beta_dist.logpdf(np.asarray(state.lengths.distinct), base_a, base_b)))
+    score += float(np.sum(_beta_logpdf(np.asarray(state.lengths.distinct), base_a, base_b)))
     return score
 
 
@@ -828,6 +824,8 @@ def fit(
         raise ValueError("bivariate kernel needs (n, 2) data")
     if len(data) == 0:
         raise ValueError("empty dataset")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("data contain NaN or infinite values")
     if rng is None:
         rng = np.random.default_rng(config.seed)
 

@@ -157,11 +157,8 @@ def sb_transform(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.size and (v.min() < 0 or v.max() > 1):
         raise ValueError("length variables must lie in [0, 1]")
-    w = np.empty_like(v)
-    residual = 1.0
-    for j, vj in enumerate(v):
-        w[j] = residual * vj
-        residual *= 1.0 - vj
+    w = v.copy()
+    w[1:] *= np.cumprod(1.0 - v[:-1])  # sequential products, as a running residual
     return w
 
 

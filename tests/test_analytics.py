@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +310,27 @@ def test_kn_paths_prefix_consistent_monotone():
     assert np.all(np.diff(paths, axis=1) >= 0)
     assert np.all(paths[:, 0] == 1)
     assert np.all(paths <= np.arange(1, 31)[None, :])
+    # exactly the distinct counts of the same seeded allocations
+    d = sample_allocations(dsb(0.5, 1.0), 30, 500, np.random.default_rng(34))
+    ref = [[len(set(row[: i + 1])) for i in range(30)] for row in d.tolist()]
+    assert np.array_equal(paths, ref)
+
+
+def test_kn_paths_memory_bounded_by_replicates_times_n():
+    # a Geometric stick with a small shared length sends allocation indices
+    # far out: this generator's largest is about 2e8, so bookkeeping sized by
+    # the largest index would need about 20 TiB; memory must follow R * n
+    R, n = 100_000, 20
+    rng = np.random.default_rng(10)
+    tracemalloc.start()
+    try:
+        kn = kn_paths(SharedBeta(1.0, 1.0), n, R, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kn.shape == (R, n)
+    assert np.all(np.diff(kn, axis=1) >= 0) and np.all(kn[:, 0] == 1)
+    assert peak < 8 * R * n * 8
 
 
 def test_mixture_measure_moments():

@@ -85,6 +85,14 @@ def test_load_data_csv_errors(tmp_path):
         load_data_csv(str(p3))
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_load_data_csv_rejects_non_finite(tmp_path, cell):
+    p = tmp_path / "nonfinite.csv"
+    p.write_text(f"1.0,2.0\n3.0,{cell}\n")
+    with pytest.raises(ConfigError, match="nonfinite.csv:2: non-finite"):
+        load_data_csv(str(p))
+
+
 def test_order_prob_subcommand(tmp_path):
     cfg = write_json(tmp_path / "c.json", {"betas": [1.0], "thetas": [1.0],
                                            "mc_replicates": 50_000})

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from esbmix.eppf import Dirichlet, IdenticalDegenerate, IidDegenerate
+from esbmix.eppf import Dirichlet, IdenticalDegenerate, IidDegenerate, PitmanYor
 from esbmix.mcmc import (
     BivariateNormalInvWishart,
     FitConfig,
@@ -245,6 +247,65 @@ def test_update_lengths_respects_slice_constraints():
         state.validate()
 
 
+def test_update_lengths_skips_zero_weight_empty_stick():
+    # the middle stick's weight underflows to 0 and holds no datum; it must
+    # not enter the interval of the stick before it (0/0 would block it)
+    rng = np.random.default_rng(12)
+    state = make_state([0.6, 5e-324, 0.5], [0, 1, 2], [0.3, 0.1], [0, 2], [None] * 3)
+    assert state.weights[1] == 0.0
+    update_lengths(state, IidDegenerate(), 1.0, 1.0, rng)
+    assert state.infeasible_slices == 0
+    assert state.lengths.values[0] != 0.6
+    assert np.all(state.u < state.weights[state.d])
+
+
+OPEN_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def length_update_inputs(draw):
+    """A valid state for the length step: a random tie pattern (forced by
+    the model for the iid and identical limits), lengths anywhere in (0, 1)
+    so late weights can underflow to 0, and n >= 0 slices on a random subset
+    of the sticks with positive weight, which leaves empty sticks between
+    occupied ones."""
+    model = draw(st.sampled_from(
+        [Dirichlet(1.0), PitmanYor(0.5, 1.0), IidDegenerate(), IdenticalDegenerate()]))
+    phi = draw(st.integers(1, 30))
+    if isinstance(model, IdenticalDegenerate):
+        atom_index = [0] * phi
+    elif isinstance(model, IidDegenerate):
+        atom_index = list(range(phi))
+    else:
+        atom_index = [0]
+        for _ in range(phi - 1):
+            atom_index.append(draw(st.integers(0, max(atom_index) + 1)))
+    k = max(atom_index) + 1
+    values = draw(st.lists(OPEN_UNIT, min_size=k, max_size=k, unique=True))
+    weights = sb_transform([values[s] for s in atom_index])
+    reachable = np.flatnonzero(weights > 0.0).tolist()
+    n = draw(st.integers(0, 40)) if reachable else 0
+    d = [draw(st.sampled_from(reachable)) for _ in range(n)]
+    u = [draw(OPEN_UNIT) * weights[j] for j in d]
+    assume(all(x > 0.0 for x in u))
+    state = make_state(values, atom_index, u, d, [(0.0, 1.0)] * phi)
+    base_b = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    return state, model, base_b, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(length_update_inputs())
+def test_update_lengths_keeps_state_valid(inputs):
+    # every invariant GibbsState.validate checks except truncation coverage,
+    # which a length move may lose; the sweep restores it next
+    state, model, base_b, seed = inputs
+    update_lengths(state, model, 1.0, base_b, np.random.default_rng(seed))
+    state.lengths.validate()
+    assert state.phi == len(state.atoms)
+    assert np.array_equal(state.weights, sb_transform(state.lengths.values))
+    assert np.all(state.u < state.weights[state.d])
+
+
 def test_rho_conditional_reductions():
     # m=2, K=2: density  proportional to (1-rho): Beta(1,2), mean 1/3
     # m=2, K=1: proportional to rho: Beta(2,1), mean 2/3
@@ -461,6 +522,14 @@ def test_fit_config_validation():
         fit(np.empty(0), FitConfig(prior=dsb(1, 1), kernel=kern, iterations=10, burn_in=2))
     with pytest.raises(ValueError):
         fit(np.zeros((5, 2)), FitConfig(prior=dsb(1, 1), kernel=kern, iterations=10, burn_in=2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_rejects_non_finite_data(bad):
+    kern = UnivariateNormalGamma(0.0, 1.0, 1.0, 1.0)
+    data = np.array([0.1, -0.4, bad, 1.2])
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        fit(data, FitConfig(prior=dsb(1, 1), kernel=kern, iterations=10, burn_in=2))
 
 
 def ng_log_marginal(ys, mu0, lam, a, b):

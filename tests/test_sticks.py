@@ -34,6 +34,12 @@ def test_sb_transform_partial_sum_identity():
     resid = np.cumprod(1.0 - v)
     assert np.max(np.abs((1.0 - partial) - resid)) < 1e-12
     assert partial[-1] <= 1.0 + 1e-12
+    # bit for bit the running-residual loop, so seeded chains do not move
+    residual, ref = 1.0, []
+    for vj in v:
+        ref.append(residual * vj)
+        residual *= 1.0 - vj
+    assert np.array_equal(w, ref)
 
 
 def test_sb_inverse_examples():
