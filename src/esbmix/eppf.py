@@ -5,6 +5,9 @@ EPPF, and the two degenerate limits (all-singletons and single-block) that
 correspond to iid and identical length variables.  Degenerate families
 return a -inf log sentinel for impossible configurations so partition sums
 can skip zero-probability terms uniformly.
+
+All four are of Gibbs type: pi(n_1..n_m) = V(n, m) prod_i W(n_i), with n the
+total size and m the number of blocks (`EppfModel.log_gibbs_factors`).
 """
 
 import math
@@ -39,6 +42,12 @@ class EppfModel:
         raise NotImplementedError
 
     def tie_probability(self) -> float:
+        raise NotImplementedError
+
+    def log_gibbs_factors(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Gibbs-type factors of the EPPF on partitions of n items:
+        (log V(n, m) for m = 1..n, log W(s) for s = 1..n), so that
+        log_eppf(sizes) = log V(n, len(sizes)) + sum_i log W(sizes[i])."""
         raise NotImplementedError
 
     def prediction_weights(self, counts: Sequence[int]) -> Tuple[np.ndarray, float]:
@@ -78,6 +87,11 @@ class Dirichlet(EppfModel):
     def tie_probability(self):
         return 1.0 / (1.0 + self.beta)
 
+    def log_gibbs_factors(self, n):
+        # V(n, m) = beta^m / (beta)_n and W(s) = (s-1)!
+        m = np.arange(1, n + 1)
+        return m * math.log(self.beta) - log_rising_factorial(self.beta, n), gammaln(m)
+
     def prediction_weights(self, counts):
         counts = np.asarray(counts, dtype=float)
         n = counts.sum()
@@ -113,6 +127,14 @@ class PitmanYor(EppfModel):
     def tie_probability(self):
         return (1.0 - self.alpha) / (self.beta + 1.0)
 
+    def log_gibbs_factors(self, n):
+        # V(n, m) = prod_{i<m} (beta + i alpha) / (beta+1)_{n-1}, W(s) = (1-alpha)_{s-1}
+        norm = log_rising_factorial(self.beta + 1.0, n - 1)
+        log_v = [log_rising_factorial(self.beta + self.alpha, m - 1, self.alpha) - norm
+                 for m in range(1, n + 1)]
+        log_w = [log_rising_factorial(1.0 - self.alpha, s - 1) for s in range(1, n + 1)]
+        return np.array(log_v), np.array(log_w)
+
     def prediction_weights(self, counts):
         counts = np.asarray(counts, dtype=float)
         n = counts.sum()
@@ -134,6 +156,12 @@ class IidDegenerate(EppfModel):
     def tie_probability(self):
         return 0.0
 
+    def log_gibbs_factors(self, n):
+        # only singleton blocks have positive weight
+        log_w = np.full(n, NEG_INF)
+        log_w[0] = 0.0
+        return np.zeros(n), log_w
+
     def prediction_weights(self, counts):
         return np.zeros(len(counts)), 1.0
 
@@ -148,6 +176,12 @@ class IdenticalDegenerate(EppfModel):
 
     def tie_probability(self):
         return 1.0
+
+    def log_gibbs_factors(self, n):
+        # only the one-block partition has positive weight
+        log_v = np.full(n, NEG_INF)
+        log_v[0] = 0.0
+        return log_v, np.zeros(n)
 
     def prediction_weights(self, counts):
         if len(counts) == 0:

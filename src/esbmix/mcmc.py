@@ -106,6 +106,15 @@ class UnivariateNormalGamma:
         z = (y[:, None] - means[None, :]) ** 2
         return 0.5 * (np.log(taus)[None, :] - LOG_2PI) - 0.5 * taus[None, :] * z
 
+    def log_pdf_at(self, data, atoms, d):
+        """Log density of each datum at its own atom: row i of
+        log_pdf_matrix read at column d[i], with the same arithmetic."""
+        y = np.asarray(data, dtype=float).reshape(-1)
+        means = np.array([a[0] for a in atoms])
+        taus = np.array([a[1] for a in atoms])
+        z = (y - means[d]) ** 2
+        return (0.5 * (np.log(taus) - LOG_2PI))[d] - (0.5 * taus)[d] * z
+
     def pdf_grid(self, grid, atom):
         m, tau = atom
         g = np.asarray(grid, dtype=float).reshape(-1)
@@ -183,6 +192,17 @@ class BivariateNormalInvWishart:
         out = np.empty((y.shape[0], len(atoms)))
         for j, (m, sigma) in enumerate(atoms):
             out[:, j] = self._log_pdf(y, m, sigma)
+        return out
+
+    def log_pdf_at(self, data, atoms, d):
+        """Log density of each datum at its own atom, one occupied atom at
+        a time."""
+        y = np.asarray(data, dtype=float).reshape(-1, 2)
+        out = np.empty(y.shape[0])
+        for j in np.unique(d):
+            rows = d == j
+            m, sigma = atoms[j]
+            out[rows] = self._log_pdf(y[rows], m, sigma)
         return out
 
     @staticmethod
@@ -679,8 +699,7 @@ def complete_data_log_score(
     if n:
         if np.any(state.u >= state.weights[state.d]):
             return -np.inf
-        logp = kernel.log_pdf_matrix(data, state.atoms[: state.phi])
-        score += float(logp[np.arange(n), state.d].sum())
+        score += float(kernel.log_pdf_at(data, state.atoms[: state.phi], state.d).sum())
     for atom in state.atoms[: state.phi]:
         score += kernel.log_prior_density(atom)
     lp = model.log_eppf(state.lengths.counts)

@@ -24,6 +24,8 @@ from esbmix.analytics import (
     weight_ordering_c,
 )
 from esbmix.eppf import Dirichlet, IdenticalDegenerate, IidDegenerate, PitmanYor
+from esbmix.numerics import log_beta_moment
+from esbmix.partitions import enumerate_partitions
 from esbmix.sticks import IidBeta, LengthPrefix, SharedBeta, SpeciesDriven, dsb, sample_lengths_prefix
 
 
@@ -215,6 +217,71 @@ def test_allocation_probability_vs_mc():
 def test_allocation_cap_refused():
     with pytest.raises(ValueError, match="cap"):
         allocation_probability([13], Dirichlet(1.0), 1.0, 1.0)
+
+
+def _partition_sum_reference(d, model, a, b):
+    # term-by-term sum over the set partitions of {1..max d}
+    av = AllocationVector(tuple(d))
+    r, t = av.r, av.t
+    total = 0.0
+    for part in enumerate_partitions(av.k):
+        lp = model.log_eppf(part.sizes())
+        if lp == -math.inf:
+            continue
+        for block in part.blocks:
+            idx = [i - 1 for i in block]
+            lp += log_beta_moment(a, b, int(r[idx].sum()), int(t[idx].sum()))
+        total += math.exp(lp)
+    return total
+
+
+def test_allocation_probability_matches_partition_enumeration():
+    rng = np.random.default_rng(31)
+    models = [Dirichlet(0.6), PitmanYor(0.4, 1.3), PitmanYor(0.7, -0.5),
+              IidDegenerate(), IdenticalDegenerate()]
+    bases = [(1.0, 1.0), (2.5, 0.7), (0.6, 3.0)]
+    for model in models:
+        for a, b in bases:
+            for _ in range(4):
+                n = int(rng.integers(1, 9))
+                d = [int(rng.integers(1, 8)) for _ in range(n)]
+                assert allocation_probability(d, model, a, b) == pytest.approx(
+                    _partition_sum_reference(d, model, a, b), rel=1e-12
+                )
+    # the largest k here, with every index occupied
+    d = list(range(1, 8)) + [3, 7]
+    for model in models:
+        assert allocation_probability(d, model, 2.5, 0.7) == pytest.approx(
+            _partition_sum_reference(d, model, 2.5, 0.7), rel=1e-12
+        )
+
+
+def test_allocation_probability_degenerate_closed_forms_at_cap():
+    # k = 12: iid lengths give a product of one Beta moment per index,
+    # identical lengths a single moment of the pooled counts
+    d = list(range(1, 13)) + [2, 5, 5, 12]
+    av = AllocationVector(tuple(d))
+    r, t = av.r, av.t
+    for a, b in ((1.0, 1.0), (2.0, 0.5)):
+        iid = math.exp(sum(log_beta_moment(a, b, int(p), int(q)) for p, q in zip(r, t)))
+        identical = math.exp(log_beta_moment(a, b, int(r.sum()), int(t.sum())))
+        assert allocation_probability(d, IidDegenerate(), a, b) == pytest.approx(iid, rel=1e-12)
+        assert allocation_probability(d, IdenticalDegenerate(), a, b) == pytest.approx(
+            identical, rel=1e-12
+        )
+
+
+def test_allocation_probability_dirichlet_k8_matches_dsb_enumeration():
+    for d, beta, theta in ((list(range(1, 9)), 1.0, 1.0), ([8, 2, 2, 5, 1], 0.4, 2.5)):
+        assert allocation_probability(d, Dirichlet(beta), 1.0, theta) == pytest.approx(
+            allocation_probability_dsb(d, beta, theta), rel=1e-12
+        )
+
+
+def test_allocation_probability_rejects_bad_base_shapes():
+    for a, b in ((0.0, 1.0), (1.0, -2.0), (math.nan, 1.0), (1.0, math.inf), (-math.inf, 1.0)):
+        with pytest.raises(ValueError, match="Beta base shapes"):
+            allocation_probability([1, 2], Dirichlet(1.0), a, b)
 
 
 def test_truncated_pair_mass_matches_pairwise_sum():

@@ -79,6 +79,25 @@ def test_addition_rule_random_compositions():
         assert worst < 1e-12
 
 
+def test_gibbs_factors_reproduce_eppf():
+    # log_eppf(sizes) = log V(n, m) + sum_i log W(n_i), -inf cases included
+    rng = np.random.default_rng(7)
+    models = [Dirichlet(0.4), Dirichlet(2.5), PitmanYor(0.0, 1.5), PitmanYor(0.3, 1.2),
+              PitmanYor(0.6, -0.4), IidDegenerate(), IdenticalDegenerate()]
+    for model in models:
+        infinite = 0
+        for _ in range(300):
+            sizes = [int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 6)))]
+            log_v, log_w = model.log_gibbs_factors(sum(sizes))
+            assert log_v.shape == log_w.shape == (sum(sizes),)
+            expected = log_eppf(model, sizes)
+            got = log_v[len(sizes) - 1] + sum(log_w[s - 1] for s in sizes)
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            infinite += expected == NEG_INF
+        degenerate = isinstance(model, (IidDegenerate, IdenticalDegenerate))
+        assert (infinite > 0) == degenerate
+
+
 def test_tie_probabilities():
     assert tie_probability(Dirichlet(1.0)) == 0.5
     assert tie_probability(PitmanYor(0.5, 0.5)) == pytest.approx(1 / 3)
