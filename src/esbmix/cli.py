@@ -313,7 +313,7 @@ def _parse_grid(config, data, dim):
     return np.column_stack([xx.ravel(), yy.ravel()])
 
 
-def cmd_fit(config, outdir, seed, rng, expect_header=False):
+def cmd_fit(config, outdir, seed, rng, expect_header=False, check_invariants=False):
     _require_keys(
         config,
         {"data", "prior", "kernel", "iterations", "burn_in", "thin", "grid", "seed"},
@@ -335,7 +335,7 @@ def cmd_fit(config, outdir, seed, rng, expect_header=False):
         seed=seed,
     )
     log.info("fit: n=%d dim=%d prior=%s", len(data), dim, prior_label)
-    result = mcmc.fit(data, fit_config, rng=rng)
+    result = mcmc.fit(data, fit_config, rng=rng, check_invariants=check_invariants)
 
     grid = _parse_grid(config, data, dim)
     eap = mcmc.eap_density(result.samples, kernel, grid)
@@ -379,7 +379,8 @@ def cmd_fit(config, outdir, seed, rng, expect_header=False):
         "n_observations": len(data),
         "prior": prior_label,
         "map_sample_index": map_idx,
-        "invariant_checks": {"infeasible_slice_updates": result.infeasible_slices},
+        "invariant_checks": {"infeasible_slice_updates": result.infeasible_slices,
+                             "state_validated_each_sweep": check_invariants},
     }
     if random_rho:
         rhos = np.array([rec.rho for rec in result.trace])
@@ -525,6 +526,8 @@ def build_parser():
                        help="allow Monte Carlo-only rows where the exact cap is exceeded")
         p.add_argument("--header", action="store_true",
                        help="data CSV has a header row (fit only)")
+        p.add_argument("--check-invariants", action="store_true",
+                       help="validate the sampler state after every sweep (fit only)")
     return parser
 
 
@@ -561,7 +564,8 @@ def main(argv=None):
         elif args.subcommand == "alloc-prob":
             cmd_alloc_prob(config, args.out, seed, rng, mc_fallback=args.mc_fallback)
         elif args.subcommand == "fit":
-            extra = cmd_fit(config, args.out, seed, rng, expect_header=args.header)
+            extra = cmd_fit(config, args.out, seed, rng, expect_header=args.header,
+                            check_invariants=args.check_invariants)
         elif args.subcommand == "verify":
             status = 0 if cmd_verify(config, args.out, seed, rng) else 1
     except ConfigError as exc:

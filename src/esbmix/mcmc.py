@@ -305,7 +305,7 @@ class GibbsState:
         return len(self.lengths)
 
     def kn(self) -> int:
-        return int(len(np.unique(self.d))) if len(self.d) else 0
+        return int(np.count_nonzero(np.bincount(self.d))) if len(self.d) else 0
 
     def snapshot(self) -> "GibbsState":
         return GibbsState(
@@ -432,32 +432,113 @@ def ensure_truncation(
 
 
 def update_atoms(state: GibbsState, data, kernel: MixtureKernel, rng) -> GibbsState:
+    """Draw each stick's atom from its conjugate posterior given the data
+    allocated to it; an empty stick takes a prior draw.  One stable sort by
+    allocation lays every block out contiguously in data order."""
     data = np.asarray(data, dtype=float)
+    counts = np.bincount(state.d, minlength=state.phi)
+    # labels in the narrowest type that holds them make the stable sort a
+    # radix sort (up to 65536 sticks)
+    labels = state.d.astype(np.min_scalar_type(len(counts)))
+    blocks = data[np.argsort(labels, kind="stable")]
+    ends = np.cumsum(counts)
+    start = 0
     for j in range(state.phi):
-        block = data[state.d == j] if len(data) else data[:0]
-        state.atoms[j] = kernel.sample_posterior(block, rng)
+        state.atoms[j] = kernel.sample_posterior(blocks[start:ends[j]], rng)
+        start = ends[j]
     return state
 
 
+def _add_or_skip(a, b):
+    """a + b, with None standing for a sum of zeros."""
+    return b if a is None else a if b is None else a + b
+
+
+def _pairwise_row_sums(rows, cols, lo, hi):
+    """Row sums of a zero-padded matrix whose column cols[i] is rows[i] and
+    whose other columns are 0, over the columns [lo, hi), grouped as numpy's
+    pairwise summation groups a contiguous row: fewer than 8 terms left to
+    right; up to 128 terms in eight interleaved partial sums joined as a
+    balanced tree, then the remainder left to right; longer rows split in
+    two at a multiple of 8.  Zeros add exactly, so they are skipped; None
+    is returned when every column in the range is zero."""
+    n = hi - lo
+    if n > 128:
+        half = lo + n // 2 - (n // 2) % 8
+        return _add_or_skip(_pairwise_row_sums(rows, cols, lo, half),
+                            _pairwise_row_sums(rows, cols, half, hi))
+    total, rest = None, lo
+    if n >= 8:
+        rest = hi - n % 8
+        part = [None] * 8
+        for row, col in zip(rows, cols):
+            if lo <= col < rest:
+                part[(col - lo) % 8] = _add_or_skip(part[(col - lo) % 8], row)
+        pairs = [_add_or_skip(part[i], part[i + 1]) for i in (0, 2, 4, 6)]
+        total = _add_or_skip(_add_or_skip(pairs[0], pairs[1]), _add_or_skip(pairs[2], pairs[3]))
+    for row, col in zip(rows, cols):
+        if rest <= col < hi:
+            total = _add_or_skip(total, row)
+    return total
+
+
 def update_allocations(state: GibbsState, data, kernel: MixtureKernel, rng) -> GibbsState:
+    """Draw each allocation from p(d_k = j) ∝ K(y_k | theta_j) 1{u_k < w_j}.
+
+    Datum k admits exactly the sticks heavier than u_k (Walker 2007; Kalli,
+    Griffin & Walker 2011).  A datum with u_k at or above the second largest
+    weight admits only the heaviest stick and takes it unevaluated.  The m
+    others share one pass over the K sticks heavier than the smallest slice,
+    kept in stick order, masked per datum and laid out stick-major, so every
+    reduction runs over contiguous length-m vectors; the cost is O(n + m K),
+    not O(n phi).  Each draw is the one a dense n x phi categorical makes
+    from the same uniforms: adding the zeros of inadmissible sticks is
+    exact, and the normalising totals follow the grouping of numpy's row
+    sums over zero-padded rows.
+    """
     n = len(state.u)
     if n == 0:
         return state
-    logp = kernel.log_pdf_matrix(data, state.atoms[: state.phi])
-    admissible = state.u[:, None] < state.weights[None, :]
-    if not np.all(admissible.any(axis=1)):
+    phi = state.phi
+    weights = state.weights
+    u = state.u
+    by_weight = weights.argsort()
+    if not u.max() < weights[by_weight[-1]]:
         raise RuntimeError("empty slice support: truncation level too small")
-    shifted = logp - np.max(np.where(admissible, logp, -np.inf), axis=1, keepdims=True)
-    probs = np.where(admissible, np.exp(shifted), 0.0)
-    totals = probs.sum(axis=1)
-    draws = rng.random(n) * totals
-    d = (np.cumsum(probs, axis=1) <= draws[:, None]).sum(axis=1)
-    d = np.minimum(d, state.phi - 1)
-    rows = np.arange(n)
-    bad = probs[rows, d] == 0.0  # float round-off at the categorical boundary
-    if bad.any():
-        d[bad] = np.argmax(probs[bad], axis=1)
-    state.d = d.astype(np.int64)
+    uniforms = rng.random(n)
+    # the heaviest stick is unique whenever some datum admits it alone
+    d = by_weight[-1:].repeat(n)
+    multi = (u < weights[by_weight[-2]]).nonzero()[0] if phi > 1 else ()
+    m = len(multi)
+    if m == 0:
+        state.d = d
+        return state
+
+    top = (weights > u.min()).nonzero()[0]
+    cols = top.tolist()
+    y = np.asarray(data, dtype=float)[multi]
+    logp = kernel.log_pdf_matrix(y, [state.atoms[j] for j in cols]).T.copy()
+    admissible = weights[top][:, None] > u[multi]
+    peak = np.where(admissible, logp, -np.inf).max(axis=0)
+    probs = np.exp(np.where(admissible, logp - peak, -np.inf))
+    draws = uniforms[multi] * _pairwise_row_sums(probs, cols, 0, phi)
+    # the dense count of cumulative sums <= draw is top[below], or phi past
+    # the last top stick: a stick outside top repeats the running sum before
+    # it, and those ahead of top[0] hold 0 <= draw
+    cum = probs.copy()
+    for i in range(1, len(top)):
+        cum[i] += cum[i - 1]
+    below = (cum <= draws).sum(axis=0)
+    at = np.minimum(below, len(top) - 1)
+    got = probs[at, np.arange(m)]
+    if top[-1] != phi - 1:
+        got[below == len(top)] = 0.0  # clamped onto stick phi - 1, inadmissible
+    pick = top[at]
+    bad = (got == 0.0).nonzero()[0]  # float round-off at the categorical boundary
+    if len(bad):
+        pick[bad] = top[np.argmax(probs[:, bad], axis=0)]
+    d[multi] = pick
+    state.d = d
     return state
 
 
@@ -531,7 +612,7 @@ def update_lengths(
         later = occupied[occupied > j]
         if len(later):
             b_j = 1.0 - (1.0 - v[j]) * float(np.max(umax[later] / weights[later]))
-        if not a_j < b_j:
+        if not np.nextafter(a_j, 1.0) < b_j:  # no double strictly inside
             state.infeasible_slices += 1
             prefix_prod *= 1.0 - v[j]
             continue
@@ -614,7 +695,10 @@ def _refresh_distinct_values(state, umax, base_a, base_b, rng, max_shrink=60):
         left, right = 0.0, 1.0
         for _ in range(max_shrink):
             x1 = left + rng.random() * (right - left)
-            if (x1 not in prefix.distinct
+            # the draw can round onto an end of (0, 1), where the density
+            # may be infinite; a length must stay strictly inside
+            if (0.0 < x1 < 1.0
+                    and x1 not in prefix.distinct
                     and _beta_logpdf(x1, base_a, base_b) > level):
                 w = feasible(x1)
                 if w is not None:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from esbmix.cli import ConfigError, load_data_csv, main, parse_kernel, parse_prior
-from esbmix.mcmc import RandomRho, UnivariateNormalGamma
+from esbmix.mcmc import GibbsState, RandomRho, UnivariateNormalGamma
 from esbmix.sticks import IidBeta, SharedBeta, SpeciesDriven
 
 
@@ -236,6 +236,34 @@ def test_fit_subcommand_random_rho_bivariate(tmp_path):
     assert sum(float(r[2]) for r in hist[1:]) == pytest.approx(1.0)
     dens = read_csv(out / "density.csv")
     assert dens[0] == ["x", "y", "eap_density", "map_density"]
+
+
+def test_fit_check_invariants_same_outputs(tmp_path, monkeypatch):
+    rng = np.random.default_rng(4)
+    data = np.concatenate([rng.normal(-3, 1, 30), rng.normal(3, 1, 30)])
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("".join(f"{float(x)!r}\n" for x in data))
+    cfg = write_json(
+        tmp_path / "c.json",
+        {"data": str(data_path),
+         "prior": {"family": "dsb", "rho": 0.5, "theta": 1.0},
+         "iterations": 120, "burn_in": 60, "thin": 3,
+         "grid": {"min": -8.0, "max": 8.0, "points": 101}},
+    )
+    validations = []
+    validate = GibbsState.validate
+    monkeypatch.setattr(GibbsState, "validate",
+                        lambda self: validations.append(1) or validate(self))
+    outs = []
+    for flags in ([], ["--check-invariants"]):
+        out = tmp_path / ("checked" if flags else "plain")
+        assert main(["fit", "--config", cfg, "--out", str(out), "--seed", "5"] + flags) == 0
+        outs.append(out)
+        assert len(validations) == (120 if flags else 0)
+    for name in ("density.csv", "posterior_kn.csv", "clusters.csv", "trace.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    manifest = json.loads((outs[1] / "manifest.json").read_text())
+    assert manifest["invariant_checks"]["state_validated_each_sweep"] is True
 
 
 def test_fit_empty_data_no_partial_outputs(tmp_path):

@@ -13,6 +13,7 @@ from esbmix.mcmc import (
     GibbsState,
     RandomRho,
     UnivariateNormalGamma,
+    _pairwise_row_sums,
     _rho_log_conditional,
     _slice_sample_logit,
     cluster_assign,
@@ -152,6 +153,201 @@ def test_update_allocations_outlier_never_picks_zero_density():
     for _ in range(200):
         update_allocations(state, data, kern, rng)
         assert state.d[0] == 0
+
+
+def _dense_allocations(state, data, kernel, rng):
+    """Reference for update_allocations: the categorical draw over the whole
+    n x phi matrix of kernel densities masked by the slices."""
+    n = len(state.u)
+    if n == 0:
+        return state
+    logp = kernel.log_pdf_matrix(data, state.atoms[: state.phi])
+    admissible = state.u[:, None] < state.weights[None, :]
+    if not np.all(admissible.any(axis=1)):
+        raise RuntimeError("empty slice support: truncation level too small")
+    shifted = logp - np.max(np.where(admissible, logp, -np.inf), axis=1, keepdims=True)
+    probs = np.where(admissible, np.exp(shifted), 0.0)
+    totals = probs.sum(axis=1)
+    draws = rng.random(n) * totals
+    d = (np.cumsum(probs, axis=1) <= draws[:, None]).sum(axis=1)
+    d = np.minimum(d, state.phi - 1)
+    rows = np.arange(n)
+    bad = probs[rows, d] == 0.0
+    if bad.any():
+        d[bad] = np.argmax(probs[bad], axis=1)
+    state.d = d.astype(np.int64)
+    return state
+
+
+class PresetUniforms:
+    """Generator stand-in whose random(n) returns the given uniforms."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, size):
+        assert size == len(self.values)
+        return self.values.copy()
+
+
+def allocation_state(weights, u, atoms):
+    """State with the given stick weights and slices, the only parts of the
+    state (with the atoms) that the allocation step reads."""
+    phi = len(weights)
+    state = make_state([(i + 1) / (phi + 1) for i in range(phi)], list(range(phi)),
+                       u, [0] * len(u), atoms)
+    state.weights = np.asarray(weights, dtype=float)
+    return state
+
+
+UNIVARIATE = UnivariateNormalGamma(0.0, 1.0, 1.0, 1.0)
+BIVARIATE = BivariateNormalInvWishart(mu0=(0.0, 0.0), lam=1.0,
+                                      psi=((1.0, 0.0), (0.0, 1.0)), nu=3.0)
+ONE_BELOW_ONE = 1.0 - 2.0 ** -53  # the largest value Generator.random returns
+
+
+@st.composite
+def allocation_inputs(draw):
+    phi = draw(st.integers(1, 20))
+    # values from a small pool make equal weights common
+    weight = st.one_of(st.sampled_from([0.4, 0.1, 0.1 / 3, 1e-3]), st.floats(1e-9, 1.0))
+    weights = draw(st.lists(weight, min_size=phi, max_size=phi))
+    ranked = sorted(weights)
+    n = draw(st.integers(1, 30))
+    # every datum admits the heaviest stick alone, when that stick is unique
+    single = phi > 1 and ranked[-2] < ranked[-1] and draw(st.booleans())
+    low = ranked[-2] if single else 0.0
+    fraction = st.floats(0.0, 1.0, exclude_max=True)
+    top_slice = np.nextafter(ranked[-1], 0.0)
+    u = [min(low + f * (ranked[-1] - low), top_slice)
+         for f in draw(st.lists(fraction, min_size=n, max_size=n))]
+    lighter = [w for w in weights if w < ranked[-1]]
+    if lighter and not single:
+        # slices equal to a weight: that stick is inadmissible
+        equal = draw(st.lists(st.sampled_from([None] + lighter), min_size=n, max_size=n))
+        u = [x if w is None else w for x, w in zip(u, equal)]
+    # far atoms and sharp kernels make admissible sticks underflow to 0
+    location = st.one_of(st.sampled_from([-40.0, 0.0, 0.5, 3.0, 40.0]), st.floats(-50.0, 50.0))
+    scale = st.sampled_from([1e-2, 1.0, 50.0])
+    if draw(st.booleans()):
+        kernel = BIVARIATE
+        means = draw(st.lists(location, min_size=2 * phi, max_size=2 * phi))
+        scales = draw(st.lists(scale, min_size=2 * phi, max_size=2 * phi))
+        corr = draw(st.lists(st.floats(-0.9, 0.9), min_size=phi, max_size=phi))
+        atoms = []
+        for j in range(phi):
+            s1, s2 = scales[2 * j], scales[2 * j + 1]
+            c = corr[j] * math.sqrt(s1 * s2)
+            atoms.append((np.array(means[2 * j: 2 * j + 2]), np.array([[s1, c], [c, s2]])))
+        data = np.array(draw(st.lists(location, min_size=2 * n, max_size=2 * n))).reshape(n, 2)
+    else:
+        kernel = UNIVARIATE
+        atoms = list(zip(draw(st.lists(location, min_size=phi, max_size=phi)),
+                         draw(st.lists(scale, min_size=phi, max_size=phi))))
+        data = np.array(draw(st.lists(location, min_size=n, max_size=n)))
+    uniforms = draw(st.one_of(
+        st.none(),
+        st.lists(st.one_of(st.sampled_from([0.0, ONE_BELOW_ONE]), fraction),
+                 min_size=n, max_size=n),
+    ))
+    return weights, u, atoms, data, kernel, uniforms, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(allocation_inputs())
+def test_update_allocations_matches_dense_draw(inputs):
+    # phi up to 20 crosses the 8- and 16-term groupings of numpy's row sums;
+    # preset uniforms reach the categorical boundary
+    weights, u, atoms, data, kernel, uniforms, seed = inputs
+
+    def generator():
+        return np.random.default_rng(seed) if uniforms is None else PresetUniforms(uniforms)
+
+    ref, ref_rng = allocation_state(weights, u, atoms), generator()
+    state, rng = allocation_state(weights, u, atoms), generator()
+    with np.errstate(over="ignore"):  # the dense draw exponentiates masked entries too
+        _dense_allocations(ref, data, kernel, ref_rng)
+    update_allocations(state, data, kernel, rng)
+    assert state.d.dtype == np.int64
+    assert np.array_equal(state.d, ref.d)
+    if uniforms is None:
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_pairwise_row_sums_match_numpy_padded_rows():
+    # the allocation totals equal numpy's row sums of the zero-padded rows
+    # bit for bit; its grouping changes at 8 and 16 terms and past 128
+    gen = np.random.default_rng(12)
+    for phi in list(range(1, 41)) + [127, 128, 129, 136, 200, 300]:
+        for _ in range(5):
+            m = int(gen.integers(1, 6))
+            cols = np.sort(gen.choice(phi, size=int(gen.integers(1, phi + 1)), replace=False))
+            rows = gen.random((len(cols), m)) * np.exp(gen.normal(0.0, 20.0, (len(cols), 1)))
+            rows[gen.random(rows.shape) < 0.2] = 0.0
+            padded = np.zeros((m, phi))
+            padded[:, cols] = rows.T
+            totals = _pairwise_row_sums(rows, cols.tolist(), 0, phi)
+            assert np.array_equal(totals, padded.sum(axis=1))
+
+
+@pytest.mark.parametrize("last_admissible, expected", [(False, 0), (True, 8)])
+def test_update_allocations_boundary_past_the_last_stick(last_admissible, expected):
+    # probabilities (1, 1e-16 x 7, p_8): the running sum stays 1, numpy's
+    # eight-way row total exceeds it, so the largest uniform lands past the
+    # last stick.  The dense draw clamps to stick 8: kept when it is
+    # admissible, else the zero-probability fallback takes the argmax.
+    tiny = math.sqrt(2.0 * math.log(1e16))  # exp(-tiny**2 / 2) = 1e-16
+    atoms = [(0.0, 1.0)] + [(tiny, 1.0)] * 8
+    u = [0.005 if last_admissible else 0.05]
+    data = np.array([0.0])
+    ref = allocation_state([0.1] * 8 + [0.01], u, atoms)
+    state = allocation_state([0.1] * 8 + [0.01], u, atoms)
+    _dense_allocations(ref, data, UNIVARIATE, PresetUniforms([ONE_BELOW_ONE]))
+    update_allocations(state, data, UNIVARIATE, PresetUniforms([ONE_BELOW_ONE]))
+    assert ref.d[0] == expected
+    assert state.d[0] == expected
+
+
+def test_update_allocations_empty_slice_support_raises():
+    state = allocation_state([0.3, 0.5, 0.1], [0.2, 0.5, 0.05], [(0.0, 1.0)] * 3)
+    rng = np.random.default_rng(8)
+    before = rng.bit_generator.state
+    with pytest.raises(RuntimeError, match="empty slice support"):
+        update_allocations(state, np.zeros(3), UNIVARIATE, rng)
+    assert rng.bit_generator.state == before
+
+
+def _mask_loop_atoms(state, data, kernel, rng):
+    """Reference for update_atoms: one boolean mask per stick."""
+    data = np.asarray(data, dtype=float)
+    for j in range(state.phi):
+        block = data[state.d == j] if len(data) else data[:0]
+        state.atoms[j] = kernel.sample_posterior(block, rng)
+    return state
+
+
+@pytest.mark.parametrize("kernel", [UNIVARIATE, BIVARIATE])
+def test_update_atoms_matches_mask_loop(kernel):
+    gen = np.random.default_rng(31)
+    # 300 sticks need 16-bit sort keys
+    for phi in [int(gen.integers(1, 9)) for _ in range(40)] + [300]:
+        n = int(gen.integers(0, 50)) if phi < 300 else 600
+        # some sticks hold no datum and take a prior draw
+        occupied = gen.choice(phi, size=int(gen.integers(1, phi + 1)), replace=False)
+        d = gen.choice(occupied, size=n)
+        data = 3.0 * gen.normal(size=n if kernel.dim == 1 else (n, 2))
+        atoms = [kernel.sample_prior(gen) for _ in range(phi)]
+        values = [(i + 1) / (phi + 1) for i in range(phi)]
+        ref = make_state(values, list(range(phi)), [0.01] * n, d, atoms)
+        state = make_state(values, list(range(phi)), [0.01] * n, d, atoms)
+        seed = int(gen.integers(2**32))
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        _mask_loop_atoms(ref, data, kernel, ref_rng)
+        update_atoms(state, data, kernel, rng)
+        for new, old in zip(state.atoms, ref.atoms):
+            assert all(np.array_equal(a, b) for a, b in zip(new, old))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert state.kn() == len(np.unique(d))
 
 
 def test_update_lengths_full_range_when_unconstrained():
