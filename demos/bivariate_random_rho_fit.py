@@ -35,7 +35,7 @@ rhos = np.array([rec.rho for rec in result.trace])
 print(f"posterior tie probability: mean {rhos.mean():.3f}, "
       f"quartiles {np.quantile(rhos, [0.25, 0.5, 0.75]).round(3)}")
 
-summary = posterior_kn(result.samples)
+summary = posterior_kn(result)
 print("posterior occupied components:", {k: round(p, 3) for k, p in summary.pmf.items()})
 
 best = map_select(result.samples)

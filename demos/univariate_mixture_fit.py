@@ -32,7 +32,7 @@ config = FitConfig(prior=dsb(1.0, 1.0), kernel=kernel,
                    iterations=10_000, burn_in=2_000, thin=4, seed=5)
 result = fit(data, config)
 
-summary = posterior_kn(result.samples)
+summary = posterior_kn(result)
 print("posterior number of occupied components:")
 for k, p in summary.pmf.items():
     print(f"  K = {k:2d}: {p:.3f} " + "#" * int(60 * p))

@@ -26,10 +26,7 @@ from .eppf import (
     IidDegenerate,
     PitmanYor,
     check_addition_rule,
-    log_eppf,
     nig_tie_probability,
-    prediction_weights,
-    tie_probability,
 )
 from .mcmc import (
     BivariateNormalInvWishart,

@@ -11,7 +11,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 from scipy.special import betainc, betaln, gammaln, logsumexp
@@ -227,6 +227,11 @@ class _SubsetTable:
             arr.flags.writeable = False
 
 
+def _check_base_shapes(base_a: float, base_b: float) -> None:
+    if not (math.isfinite(base_a) and math.isfinite(base_b) and base_a > 0 and base_b > 0):
+        raise ValueError(f"Beta base shapes must be positive and finite, got ({base_a}, {base_b})")
+
+
 @functools.lru_cache(maxsize=ENUMERATION_CAP)
 def _subset_table(k: int) -> _SubsetTable:
     return _SubsetTable(k)
@@ -252,8 +257,7 @@ def allocation_probability(
     (`allocation_probability_dsb`).  k must not exceed the cap; use
     allocation_probability_mc beyond it.
     """
-    if not (math.isfinite(base_a) and math.isfinite(base_b) and base_a > 0 and base_b > 0):
-        raise ValueError(f"Beta base shapes must be positive and finite, got ({base_a}, {base_b})")
+    _check_base_shapes(base_a, base_b)
     av = d if isinstance(d, AllocationVector) else AllocationVector(tuple(d))
     k = av.k
     if k > cap:
@@ -324,42 +328,38 @@ def allocation_probability_mc(
     return p, se
 
 
-def _integer_partitions(n: int, largest: int = None):
-    if largest is None:
-        largest = n
-    if n == 0:
-        yield []
-        return
-    for first in range(min(n, largest), 0, -1):
-        for rest in _integer_partitions(n - first, first):
-            yield [first] + rest
-
-
-def _log_set_partition_count(sizes: Sequence[int]) -> float:
-    # number of set partitions of {1..J} whose block sizes form this multiset
-    J = sum(sizes)
-    out = gammaln(J + 1)
-    for s, c in Counter(sizes).items():
-        out -= c * gammaln(s + 1) + gammaln(c + 1)
-    return float(out)
-
-
 def _symmetric_residual_moment(
     model: EppfModel, base_a: float, base_b: float, J: int, power: int
 ) -> float:
-    """E[prod_{i<=J} (1 - v_i)^power] for exchangeable lengths, grouping the
-    partition sum by block-size multiset so only integer partitions of J are
-    enumerated."""
-    acc = NEG_INF
-    for sizes in _integer_partitions(J):
-        lp = model.log_eppf(sizes)
-        if lp == NEG_INF:
-            continue
-        lp += _log_set_partition_count(sizes)
-        for s in sizes:
-            lp += log_beta_moment(base_a, base_b, 0, power * s)
-        acc = np.logaddexp(acc, lp)
-    return float(np.exp(acc))
+    """E[prod_{i<=J} (1 - v_i)^power] for exchangeable lengths.
+
+    Grouping the set partitions of {1..J} by their number of blocks m gives
+    sum_m V(J, m) B_{J,m}(x), where x_s = W(s) E[(1 - v)^(power s)] and
+    B_{J,m} is the partial Bell polynomial (Gnedin & Pitman 2006,
+    "Exchangeable Gibbs partitions and Stirling triangles").  Conditioning
+    on the block of the first item gives
+    B_{n,m} = sum_s C(n-1, s-1) x_s B_{n-s,m-1} with B_{0,0} = 1.  Every
+    term is positive, so the recurrence runs in log space without
+    cancellation, at O(J^3) cost.
+    """
+    log_v, log_w = model.log_gibbs_factors(J)
+    log_x = log_w + np.array(
+        [log_beta_moment(base_a, base_b, 0, power * s) for s in range(1, J + 1)]
+    )
+    n = np.arange(J + 1)[:, None]
+    s = np.arange(1, J + 1)
+    rest = np.maximum(n - s, 0)
+    # log C(n-1, s-1) x_s, where a first block of size s fits in n items
+    log_cx = np.where(
+        s <= n, gammaln(np.maximum(n, 1)) - gammaln(s) - gammaln(rest + 1) + log_x, NEG_INF
+    )
+    log_b = np.full(J + 1, NEG_INF)  # log B_{n,0}
+    log_b[0] = 0.0
+    terms = []
+    for m in range(J):
+        log_b = logsumexp(log_cx + log_b[rest], axis=1)  # log B_{n,m+1}
+        terms.append(log_v[m] + log_b[J])
+    return float(np.exp(logsumexp(terms)))
 
 
 def truncated_pair_mass(model: EppfModel, base_a: float, base_b: float, J: int) -> float:
@@ -367,10 +367,15 @@ def truncated_pair_mass(model: EppfModel, base_a: float, base_b: float, J: int) 
     first J weights: sum over all d-vectors of length 2 with entries <= J.
 
     Uses the identity  sum_d P[d] = E[(1 - R_J)^2]  with R_J the residual
-    stick mass, whose symmetric moments need only integer partitions of J;
-    direct summation of allocation probabilities would require Bell(J)
-    terms per d-vector.
+    stick mass.  The moments E[R_J] and E[R_J^2] are sums over the set
+    partitions of {1..J}; the Gibbs factors of the EPPF reduce each to
+    partial Bell polynomials of per-block Beta moments, so the cost is
+    O(J^3) where direct summation of allocation probabilities would need
+    J^2 partition sums.
     """
+    _check_base_shapes(base_a, base_b)
+    if isinstance(J, bool) or not isinstance(J, (int, np.integer)) or J < 1:
+        raise ValueError(f"J must be a positive integer, got {J!r}")
     er = _symmetric_residual_moment(model, base_a, base_b, J, 1)
     er2 = _symmetric_residual_moment(model, base_a, base_b, J, 2)
     return 1.0 - 2.0 * er + er2

@@ -3,7 +3,7 @@ self-verification suite, all driven by JSON configs and emitting plot-ready
 CSV tables plus a JSON run manifest.
 
 Subcommands: prior-kn, prior-ekn, order-prob, alloc-prob, fit, verify.
-Every output is a deterministic function of (config, seed, thread count).
+Every output is a deterministic function of (config, seed).
 """
 
 import argparse
@@ -161,12 +161,11 @@ def write_csv(path, header, rows):
             f.write(",".join(_fmt(c) if not isinstance(c, str) else c for c in row) + "\n")
 
 
-def write_manifest(outdir, subcommand, config, seed, threads, runtime, extra=None):
+def write_manifest(outdir, subcommand, config, seed, runtime, extra=None):
     manifest = {
         "subcommand": subcommand,
         "config": config,
         "seed": seed,
-        "threads": threads,
         "runtime_seconds": runtime,
     }
     if extra:
@@ -349,14 +348,10 @@ def cmd_fit(config, outdir, seed, rng, expect_header=False, check_invariants=Fal
         header = ["x", "y", "eap_density", "map_density"]
     write_csv(os.path.join(outdir, "density.csv"), header, rows)
 
-    kn_counts = {}
-    for rec in result.trace:
-        kn_counts[rec.kn] = kn_counts.get(rec.kn, 0) + 1
-    total = sum(kn_counts.values())
     write_csv(
         os.path.join(outdir, "posterior_kn.csv"),
         ["k", "probability"],
-        [[k, c / total] for k, c in sorted(kn_counts.items())],
+        mcmc.posterior_kn(result).pmf.items(),
     )
 
     labels = mcmc.cluster_assign(result.samples[map_idx], data, kernel)
@@ -520,8 +515,6 @@ def build_parser():
         p.add_argument("--config", required=(name != "verify"), help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (overrides config)")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker count recorded in the manifest (execution is sequential)")
         p.add_argument("--mc-fallback", action="store_true",
                        help="allow Monte Carlo-only rows where the exact cap is exceeded")
         p.add_argument("--header", action="store_true",
@@ -572,7 +565,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     runtime = round(time.time() - started, 3)
-    write_manifest(args.out, args.subcommand, config, seed, args.threads, runtime, extra)
+    write_manifest(args.out, args.subcommand, config, seed, runtime, extra)
     return status
 
 

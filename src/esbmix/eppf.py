@@ -25,11 +25,8 @@ __all__ = [
     "PitmanYor",
     "IidDegenerate",
     "IdenticalDegenerate",
-    "log_eppf",
     "check_addition_rule",
-    "tie_probability",
     "nig_tie_probability",
-    "prediction_weights",
 ]
 
 NEG_INF = float("-inf")
@@ -189,18 +186,6 @@ class IdenticalDegenerate(EppfModel):
         if len(counts) > 1:
             raise ValueError("conditioning state has zero probability under the single-block law")
         return np.ones(1), 0.0
-
-
-def log_eppf(model: EppfModel, sizes: Sequence[int]) -> float:
-    return model.log_eppf(sizes)
-
-
-def tie_probability(model: EppfModel) -> float:
-    return model.tie_probability()
-
-
-def prediction_weights(model: EppfModel, counts: Sequence[int]) -> Tuple[np.ndarray, float]:
-    return model.prediction_weights(counts)
 
 
 def check_addition_rule(model: EppfModel, sizes: Sequence[int]) -> float:

@@ -11,8 +11,9 @@ from retained sweeps.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import betainc, betaincinv, betaln, gammaln, xlog1py, xlogy
@@ -849,23 +850,15 @@ def eap_density(samples: Sequence[GibbsState], kernel: MixtureKernel, grid) -> n
     return out / len(samples)
 
 
-def map_select(samples, data=None, kernel=None, prior=None) -> int:
+def map_select(samples) -> int:
     """Index of the sweep with the highest complete-data log score; earliest
-    sweep wins ties.  Scores are recomputed when absent and the model
-    context is supplied."""
+    sweep wins ties."""
     if len(samples) == 0:
         raise ValueError("need at least one retained sweep")
-    scores = []
-    for s in samples:
-        score = s.log_score
-        if math.isnan(score):
-            if data is None or kernel is None or prior is None:
-                raise ValueError("sample lacks a stored score; pass data, kernel and prior")
-            model, a, b = _resolve(prior, s.rho)
-            score = complete_data_log_score(s, data, kernel, model, a, b)
-        scores.append(score)
-    best = max(range(len(scores)), key=lambda i: (scores[i], -i))
-    return best
+    scores = [s.log_score for s in samples]
+    if any(math.isnan(score) for score in scores):
+        raise ValueError("sample lacks a stored score")
+    return max(range(len(scores)), key=lambda i: (scores[i], -i))
 
 
 def cluster_assign(sample: GibbsState, data, kernel: MixtureKernel) -> np.ndarray:
@@ -879,16 +872,15 @@ def cluster_assign(sample: GibbsState, data, kernel: MixtureKernel) -> np.ndarra
     return np.argmax(scores, axis=1)
 
 
-def posterior_kn(samples: Sequence[GibbsState]) -> KnSummary:
-    """Empirical pmf of the distinct-allocation count across retained sweeps."""
-    if len(samples) == 0:
+def posterior_kn(result: "FitResult") -> KnSummary:
+    """Empirical pmf of the distinct-allocation count over every retained
+    sweep of a fit (its trace), not only the thinned snapshots."""
+    if len(result.trace) == 0:
         raise ValueError("need at least one retained sweep")
-    n = len(samples[0].d)
-    from collections import Counter
-
-    counts = Counter(s.kn() for s in samples)
-    pmf = {k: c / len(samples) for k, c in sorted(counts.items())}
-    return KnSummary(n=n, pmf=pmf, replicates=len(samples))
+    counts = Counter(rec.kn for rec in result.trace)
+    total = len(result.trace)
+    pmf = {k: c / total for k, c in sorted(counts.items())}
+    return KnSummary(n=len(result.samples[0].d), pmf=pmf, replicates=total)
 
 
 # ---------------------------------------------------------------------------
@@ -914,7 +906,6 @@ def fit(
     data,
     config: FitConfig,
     rng: Optional[np.random.Generator] = None,
-    trace_hook: Optional[Callable[[TraceRecord], None]] = None,
     check_invariants: bool = False,
 ) -> FitResult:
     """Run the sampler: burn-in then retained sweeps.  Every retained sweep
@@ -943,8 +934,6 @@ def fit(
             continue
         rec = TraceRecord(sweep=sweep, kn=state.kn(), rho=state.rho, log_score=state.log_score)
         trace.append(rec)
-        if trace_hook is not None:
-            trace_hook(rec)
         if (sweep - config.burn_in) % config.thin == 0:
             samples.append(state.snapshot())
     return FitResult(samples=samples, trace=trace, config=config,

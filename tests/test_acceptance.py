@@ -334,7 +334,7 @@ def test_criterion_11_determinism(tmp_path):
     for run in ("r1", "r2"):
         out = tmp_path / run
         code = main(["fit", "--config", str(cfg_path), "--out", str(out),
-                     "--seed", "42", "--threads", "1"])
+                     "--seed", "42"])
         assert code == 0
         bodies.append({
             name: (out / name).read_bytes()
@@ -342,4 +342,4 @@ def test_criterion_11_determinism(tmp_path):
         })
     identical = bodies[0] == bodies[1]
     report("criterion-11 determinism",
-           identical, "fit CSVs byte-identical across two runs (config+seed+threads fixed)")
+           identical, "fit CSVs byte-identical across two runs (config+seed fixed)")

@@ -287,14 +287,28 @@ def test_allocation_probability_rejects_bad_base_shapes():
 def test_truncated_pair_mass_matches_pairwise_sum():
     # identity total = E[(1 - R_J)^2] against direct summation of all
     # two-draw allocation probabilities with entries <= J
-    model = Dirichlet(1.0)
-    for J in (2, 4):
-        direct = sum(
-            allocation_probability([i, j], model, 1.0, 1.0)
-            for i in range(1, J + 1)
-            for j in range(1, J + 1)
-        )
-        assert truncated_pair_mass(model, 1.0, 1.0, J) == pytest.approx(direct, rel=1e-10)
+    models = (Dirichlet(1.0), PitmanYor(0.5, 1.0), PitmanYor(0.3, -0.2),
+              IidDegenerate(), IdenticalDegenerate())
+    for model in models:
+        for base_a, base_b in ((1.0, 1.0), (0.5, 2.0)):
+            for J in range(1, 6):
+                direct = sum(
+                    allocation_probability([i, j], model, base_a, base_b)
+                    for i in range(1, J + 1)
+                    for j in range(1, J + 1)
+                )
+                assert truncated_pair_mass(model, base_a, base_b, J) == pytest.approx(
+                    direct, rel=1e-10
+                )
+
+
+def test_truncated_pair_mass_rejects_bad_inputs():
+    for J in (0, -3, 2.5, 2.0, True, "4"):
+        with pytest.raises(ValueError, match="positive integer"):
+            truncated_pair_mass(Dirichlet(1.0), 1.0, 1.0, J)
+    for a, b in ((0.0, 1.0), (1.0, -2.0), (math.nan, 1.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="Beta base shapes"):
+            truncated_pair_mass(Dirichlet(1.0), a, b, 3)
 
 
 def test_truncated_pair_mass_monotone_and_exceeds_090():

@@ -10,10 +10,7 @@ from esbmix.eppf import (
     IidDegenerate,
     PitmanYor,
     check_addition_rule,
-    log_eppf,
     nig_tie_probability,
-    prediction_weights,
-    tie_probability,
 )
 
 NEG_INF = float("-inf")
@@ -21,10 +18,10 @@ NEG_INF = float("-inf")
 
 def test_dirichlet_hand_values():
     # beta * 1! / (beta)_2 = 1/(beta+1) for a single pair
-    assert log_eppf(Dirichlet(1.0), [2]) == pytest.approx(math.log(0.5))
+    assert Dirichlet(1.0).log_eppf([2]) == pytest.approx(math.log(0.5))
     # beta^2 / (beta)_2 = 4/6 at beta = 2
-    assert log_eppf(Dirichlet(2.0), [1, 1]) == pytest.approx(math.log(2 / 3))
-    assert log_eppf(Dirichlet(3.7), [1]) == pytest.approx(0.0)
+    assert Dirichlet(2.0).log_eppf([1, 1]) == pytest.approx(math.log(2 / 3))
+    assert Dirichlet(3.7).log_eppf([1]) == pytest.approx(0.0)
 
 
 def test_pitman_yor_alpha_zero_reduces_to_dirichlet():
@@ -32,18 +29,18 @@ def test_pitman_yor_alpha_zero_reduces_to_dirichlet():
     for beta in (0.5, 1.0, 3.0):
         for _ in range(30):
             sizes = [int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 5)))]
-            assert log_eppf(PitmanYor(0.0, beta), sizes) == pytest.approx(
-                log_eppf(Dirichlet(beta), sizes), rel=1e-12
+            assert PitmanYor(0.0, beta).log_eppf(sizes) == pytest.approx(
+                Dirichlet(beta).log_eppf(sizes), rel=1e-12
             )
 
 
 def test_degenerate_eppfs():
     iid = IidDegenerate()
     ident = IdenticalDegenerate()
-    assert log_eppf(iid, [1, 1, 1]) == 0.0
-    assert log_eppf(iid, [2, 1]) == NEG_INF
-    assert log_eppf(ident, [5]) == 0.0
-    assert log_eppf(ident, [4, 1]) == NEG_INF
+    assert iid.log_eppf([1, 1, 1]) == 0.0
+    assert iid.log_eppf([2, 1]) == NEG_INF
+    assert ident.log_eppf([5]) == 0.0
+    assert ident.log_eppf([4, 1]) == NEG_INF
 
 
 def test_symmetry_in_block_sizes():
@@ -53,7 +50,7 @@ def test_symmetry_in_block_sizes():
         for _ in range(200):
             sizes = [int(rng.integers(1, 6)) for _ in range(int(rng.integers(2, 6)))]
             perm = list(rng.permutation(sizes))
-            assert log_eppf(model, sizes) == pytest.approx(log_eppf(model, perm), rel=1e-12)
+            assert model.log_eppf(sizes) == pytest.approx(model.log_eppf(perm), rel=1e-12)
 
 
 def test_addition_rule_examples():
@@ -90,7 +87,7 @@ def test_gibbs_factors_reproduce_eppf():
             sizes = [int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 6)))]
             log_v, log_w = model.log_gibbs_factors(sum(sizes))
             assert log_v.shape == log_w.shape == (sum(sizes),)
-            expected = log_eppf(model, sizes)
+            expected = model.log_eppf(sizes)
             got = log_v[len(sizes) - 1] + sum(log_w[s - 1] for s in sizes)
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
             infinite += expected == NEG_INF
@@ -99,16 +96,16 @@ def test_gibbs_factors_reproduce_eppf():
 
 
 def test_tie_probabilities():
-    assert tie_probability(Dirichlet(1.0)) == 0.5
-    assert tie_probability(PitmanYor(0.5, 0.5)) == pytest.approx(1 / 3)
-    assert tie_probability(IidDegenerate()) == 0.0
-    assert tie_probability(IdenticalDegenerate()) == 1.0
+    assert Dirichlet(1.0).tie_probability() == 0.5
+    assert PitmanYor(0.5, 0.5).tie_probability() == pytest.approx(1 / 3)
+    assert IidDegenerate().tie_probability() == 0.0
+    assert IdenticalDegenerate().tie_probability() == 1.0
 
 
 def test_tie_probability_equals_pair_eppf():
     for model in (Dirichlet(0.3), Dirichlet(2.0), PitmanYor(0.4, 0.9)):
-        assert tie_probability(model) == pytest.approx(
-            math.exp(log_eppf(model, [2])), rel=1e-14
+        assert model.tie_probability() == pytest.approx(
+            math.exp(model.log_eppf([2])), rel=1e-14
         )
 
 
@@ -124,17 +121,17 @@ def test_nig_tie_probability():
 
 
 def test_prediction_weights_closed_forms():
-    existing, new = prediction_weights(Dirichlet(2.0), [3, 1])
+    existing, new = Dirichlet(2.0).prediction_weights([3, 1])
     assert existing == pytest.approx([3 / 6, 1 / 6])
     assert new == pytest.approx(2 / 6)
-    existing, new = prediction_weights(PitmanYor(0.5, 0.5), [1])
+    existing, new = PitmanYor(0.5, 0.5).prediction_weights([1])
     assert existing == pytest.approx([0.5 / 1.5])
     assert new == pytest.approx(1.0 / 1.5)
-    existing, new = prediction_weights(Dirichlet(9.0), [])
+    existing, new = Dirichlet(9.0).prediction_weights([])
     assert len(existing) == 0 and new == 1.0
-    existing, new = prediction_weights(IdenticalDegenerate(), [4])
+    existing, new = IdenticalDegenerate().prediction_weights([4])
     assert existing == pytest.approx([1.0]) and new == 0.0
-    existing, new = prediction_weights(IidDegenerate(), [1, 1])
+    existing, new = IidDegenerate().prediction_weights([1, 1])
     assert np.all(existing == 0.0) and new == 1.0
 
 
@@ -143,16 +140,16 @@ def test_prediction_weights_match_eppf_ratios_and_sum_to_one():
     for model in (Dirichlet(1.3), PitmanYor(0.35, 0.8)):
         for _ in range(50):
             counts = [int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 5)))]
-            existing, new = prediction_weights(model, counts)
-            base = log_eppf(model, counts)
+            existing, new = model.prediction_weights(counts)
+            base = model.log_eppf(counts)
             for j in range(len(counts)):
                 grown = counts.copy()
                 grown[j] += 1
                 assert existing[j] == pytest.approx(
-                    math.exp(log_eppf(model, grown) - base), rel=1e-10
+                    math.exp(model.log_eppf(grown) - base), rel=1e-10
                 )
             assert new == pytest.approx(
-                math.exp(log_eppf(model, counts + [1]) - base), rel=1e-10
+                math.exp(model.log_eppf(counts + [1]) - base), rel=1e-10
             )
             assert existing.sum() + new == pytest.approx(1.0, abs=1e-12)
             assert np.all(existing >= 0.0) and new >= 0.0
@@ -171,7 +168,7 @@ def test_sequential_consistency_prediction_vs_eppf():
             nxt = {}
             for pattern, mass in states.items():
                 counts = [pattern.count(s) for s in range(max(pattern) + 1)]
-                existing, new = prediction_weights(model, counts)
+                existing, new = model.prediction_weights(counts)
                 probs = np.append(existing, new)
                 draws = rng.multinomial(mass, probs / probs.sum())
                 for slot, cnt in enumerate(draws):
@@ -181,7 +178,7 @@ def test_sequential_consistency_prediction_vs_eppf():
             states = nxt
         for pattern, mass in states.items():
             sizes = [pattern.count(s) for s in range(max(pattern) + 1)]
-            p_exact = math.exp(log_eppf(model, sizes))
+            p_exact = math.exp(model.log_eppf(sizes))
             se = math.sqrt(p_exact * (1.0 - p_exact) / replicates)
             assert abs(mass / replicates - p_exact) < 3.5 * se + 1e-9
 
@@ -194,6 +191,6 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         PitmanYor(0.5, -0.5)
     with pytest.raises(ValueError):
-        log_eppf(Dirichlet(1.0), [])
+        Dirichlet(1.0).log_eppf([])
     with pytest.raises(ValueError):
-        prediction_weights(IdenticalDegenerate(), [2, 1])
+        IdenticalDegenerate().prediction_weights([2, 1])

@@ -10,8 +10,10 @@ from esbmix.eppf import Dirichlet, IdenticalDegenerate, IidDegenerate, PitmanYor
 from esbmix.mcmc import (
     BivariateNormalInvWishart,
     FitConfig,
+    FitResult,
     GibbsState,
     RandomRho,
+    TraceRecord,
     UnivariateNormalGamma,
     _pairwise_row_sums,
     _rho_log_conditional,
@@ -650,8 +652,13 @@ def test_cluster_assign_single_component():
 def test_posterior_kn_summary():
     states = [make_state([0.5, 0.8], [0, 1], [0.1, 0.1, 0.1], [0, 1, 0], [(0, 1), (0, 1)])
               for _ in range(5)]
-    summary = posterior_kn(states)
+    # thin = 4: the trace holds every retained sweep, the samples every fourth
+    trace = [TraceRecord(sweep=i, kn=states[i // 4].kn(), rho=None, log_score=0.0)
+             for i in range(20)]
+    cfg = FitConfig(prior=dsb(1.0, 1.0), kernel=UnivariateNormalGamma(0.0, 1.0, 1.0, 1.0))
+    summary = posterior_kn(FitResult(samples=states, trace=trace, config=cfg))
     assert summary.pmf == {2: 1.0}
+    assert summary.replicates == 20 and summary.n == 3
     assert sum(summary.pmf.values()) == pytest.approx(1.0)
 
 
