@@ -14,7 +14,6 @@ import numpy as np
 
 from esbmix import (
     PitmanYor,
-    SpeciesDriven,
     dsb,
     nig_tie_probability,
     ordering_probability_dsb,

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import analytics, mcmc, numerics, sticks
-from .eppf import Dirichlet, IdenticalDegenerate, IidDegenerate, PitmanYor
+from .eppf import Dirichlet, PitmanYor, check_addition_rule
 from .sticks import IidBeta, SharedBeta, SpeciesDriven
 
 log = logging.getLogger("esbmix")
@@ -44,15 +44,33 @@ def _require_keys(obj, allowed, required, where):
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
-def _positive(obj, key, where, kind=float):
-    val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number")
+def _number(val, where, kind=float):
+    if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
+        raise ConfigError(f"{where}: expected a number")
     if kind is int and int(val) != val:
-        raise ConfigError(f"{where}.{key}: expected an integer")
+        raise ConfigError(f"{where}: expected an integer")
+    return kind(val)
+
+
+def _pair(val, where, kind=float):
+    if not isinstance(val, list) or len(val) != 2:
+        raise ConfigError(f"{where}: expected a list of two numbers")
+    return tuple(_number(x, where, kind) for x in val)
+
+
+def _positive(obj, key, where, kind=float):
+    val = _number(obj[key], f"{where}.{key}", kind)
     if val <= 0:
         raise ConfigError(f"{where}.{key}: must be positive")
-    return kind(val)
+    return val
+
+
+def _build(where, make, *args, **kwargs):
+    """make(*args, **kwargs), with its ValueError reported as a ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def parse_prior(obj, where="prior", allow_random_rho=False):
@@ -68,10 +86,9 @@ def parse_prior(obj, where="prior", allow_random_rho=False):
         raise ConfigError(f"{where}.family: must be one of {FAMILIES}")
     base = None
     if "base" in obj:
-        if (not isinstance(obj["base"], list) or len(obj["base"]) != 2
-                or any(not isinstance(x, (int, float)) or x <= 0 for x in obj["base"])):
+        base = _pair(obj["base"], f"{where}.base")
+        if min(base) <= 0:
             raise ConfigError(f"{where}.base: expected [a, b] with a, b > 0")
-        base = (float(obj["base"][0]), float(obj["base"][1]))
     theta = _positive(obj, "theta", where) if "theta" in obj else None
     if base is None:
         if theta is None:
@@ -85,11 +102,9 @@ def parse_prior(obj, where="prior", allow_random_rho=False):
             raise ConfigError(f"{where}: random-rho needs theta")
         lo, hi = 0.0, 1.0
         if "rho_bounds" in obj:
-            rb = obj["rho_bounds"]
-            if (not isinstance(rb, list) or len(rb) != 2
-                    or not (0 <= rb[0] < rb[1] <= 1)):
+            lo, hi = _pair(obj["rho_bounds"], f"{where}.rho_bounds")
+            if not (0 <= lo < hi <= 1):
                 raise ConfigError(f"{where}.rho_bounds: expected [lo, hi] in [0, 1]")
-            lo, hi = float(rb[0]), float(rb[1])
         return mcmc.RandomRho(theta=theta, rho_lo=lo, rho_hi=hi), obj.get("label", "random-rho")
 
     if family == "dirichlet":
@@ -113,9 +128,9 @@ def parse_prior(obj, where="prior", allow_random_rho=False):
     else:  # pitman-yor
         if "alpha" not in obj or "beta" not in obj:
             raise ConfigError(f"{where}: pitman-yor needs alpha and beta")
-        alpha = float(obj["alpha"])
-        beta = float(obj["beta"])
-        spec = SpeciesDriven(PitmanYor(alpha, beta), *base)
+        alpha = _number(obj["alpha"], f"{where}.alpha")
+        beta = _number(obj["beta"], f"{where}.beta")
+        spec = SpeciesDriven(_build(where, PitmanYor, alpha, beta), *base)
         label = obj.get("label", f"py_a{alpha:g}_b{beta:g}_t{base[1]:g}")
     return spec, label
 
@@ -129,17 +144,21 @@ def parse_kernel(obj, where="kernel"):
     )
     if obj["type"] == "univariate-normal-gamma":
         return mcmc.UnivariateNormalGamma(
-            mu0=float(obj.get("mu0", 0.0)),
+            mu0=_number(obj["mu0"], f"{where}.mu0") if "mu0" in obj else 0.0,
             lam=_positive(obj, "lam", where) if "lam" in obj else 0.01,
             a=_positive(obj, "a", where) if "a" in obj else 0.5,
             b=_positive(obj, "b", where) if "b" in obj else 0.5,
         )
     if obj["type"] == "bivariate-normal-invwishart":
         psi = obj.get("psi", [[1.0, 0.0], [0.0, 1.0]])
-        return mcmc.BivariateNormalInvWishart(
-            mu0=tuple(obj.get("mu0", (0.0, 0.0))),
+        if not isinstance(psi, list) or len(psi) != 2:
+            raise ConfigError(f"{where}.psi: expected a 2x2 matrix")
+        return _build(
+            where,
+            mcmc.BivariateNormalInvWishart,
+            mu0=_pair(obj["mu0"], f"{where}.mu0") if "mu0" in obj else (0.0, 0.0),
             lam=_positive(obj, "lam", where) if "lam" in obj else 0.01,
-            psi=tuple(tuple(float(x) for x in row) for row in psi),
+            psi=tuple(_pair(row, f"{where}.psi") for row in psi),
             nu=_positive(obj, "nu", where) if "nu" in obj else 2.0,
         )
     raise ConfigError(f"{where}.type: unknown kernel type {obj['type']!r}")
@@ -296,19 +315,28 @@ def cmd_alloc_prob(config, outdir, seed, rng, mc_fallback=False):
 
 
 def _parse_grid(config, data, dim):
+    """min and max take a number, points a positive integer, per dimension."""
     grid_cfg = config.get("grid", {})
     _require_keys(grid_cfg, {"min", "max", "points"}, set(), "config.grid")
+
+    def read(key, default, kind=float):
+        if key not in grid_cfg:
+            return default
+        where = f"config.grid.{key}"
+        val = grid_cfg[key]
+        vals = (_number(val, where, kind),) if dim == 1 else _pair(val, where, kind)
+        if kind is int and min(vals) <= 0:
+            raise ConfigError(f"{where}: must be positive")
+        return vals
+
+    data = data.reshape(len(data), dim)
+    lo = read("min", data.min(axis=0) - 3.0)
+    hi = read("max", data.max(axis=0) + 3.0)
+    pts = read("points", [481] if dim == 1 else [61, 61], int)
+    axes = [np.linspace(lo[i], hi[i], pts[i]) for i in range(dim)]
     if dim == 1:
-        lo = float(grid_cfg.get("min", data.min() - 3.0))
-        hi = float(grid_cfg.get("max", data.max() + 3.0))
-        pts = int(grid_cfg.get("points", 481))
-        return np.linspace(lo, hi, pts)
-    lo = grid_cfg.get("min", [float(data[:, 0].min() - 3), float(data[:, 1].min() - 3)])
-    hi = grid_cfg.get("max", [float(data[:, 0].max() + 3), float(data[:, 1].max() + 3)])
-    pts = grid_cfg.get("points", [61, 61])
-    gx = np.linspace(lo[0], hi[0], int(pts[0]))
-    gy = np.linspace(lo[1], hi[1], int(pts[1]))
-    xx, yy = np.meshgrid(gx, gy, indexing="ij")
+        return axes[0]
+    xx, yy = np.meshgrid(*axes, indexing="ij")
     return np.column_stack([xx.ravel(), yy.ravel()])
 
 
@@ -322,10 +350,14 @@ def cmd_fit(config, outdir, seed, rng, expect_header=False, check_invariants=Fal
     data = load_data_csv(config["data"], expect_header=expect_header)
     dim = 1 if data.ndim == 1 else 2
     prior, prior_label = parse_prior(config["prior"], "config.prior", allow_random_rho=True)
-    kernel = parse_kernel(config["kernel"]) if "kernel" in config else mcmc.default_kernel(data)
+    kernel = (parse_kernel(config["kernel"], "config.kernel") if "kernel" in config
+              else mcmc.default_kernel(data))
     if kernel.dim != dim:
         raise ConfigError(f"kernel dimension {kernel.dim} does not match data dimension {dim}")
-    fit_config = mcmc.FitConfig(
+    grid = _parse_grid(config, data, dim)
+    fit_config = _build(
+        "config",
+        mcmc.FitConfig,
         prior=prior,
         kernel=kernel,
         iterations=_positive(config, "iterations", "config", int) if "iterations" in config else 10_000,
@@ -336,7 +368,6 @@ def cmd_fit(config, outdir, seed, rng, expect_header=False, check_invariants=Fal
     log.info("fit: n=%d dim=%d prior=%s", len(data), dim, prior_label)
     result = mcmc.fit(data, fit_config, rng=rng, check_invariants=check_invariants)
 
-    grid = _parse_grid(config, data, dim)
     eap = mcmc.eap_density(result.samples, kernel, grid)
     map_idx = mcmc.map_select(result.samples)
     map_dens = mcmc.eap_density([result.samples[map_idx]], kernel, grid)
@@ -410,8 +441,6 @@ def _verify_checks(rng, fault=None):
         for _ in range(100):
             k = rng.integers(1, 5)
             sizes = [int(rng.integers(1, 4)) for _ in range(k)]
-            from .eppf import check_addition_rule
-
             worst = max(worst, check_addition_rule(model, sizes))
     record("eppf-addition-rule", worst < 1e-12, f"max residual {worst:.3g}")
 
@@ -530,24 +559,23 @@ def main(argv=None):
         format="%(levelname)s %(name)s: %(message)s",
     )
     args = build_parser().parse_args(argv)
-    if args.config:
-        with open(args.config) as f:
-            config = json.load(f)
-        if not isinstance(config, dict):
-            raise ConfigError("config root must be an object")
-    else:
-        config = {}
-    seed = args.seed
-    if seed is None:
-        seed = config.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError("config.seed: expected an integer")
-    os.makedirs(args.out, exist_ok=True)
-    rng = np.random.default_rng(seed)
-    started = time.time()
     extra = None
     status = 0
     try:
+        config = {}
+        if args.config:
+            with open(args.config) as f:
+                config = json.load(f)
+        if not isinstance(config, dict):
+            raise ConfigError("config root must be an object")
+        seed = args.seed
+        if seed is None:
+            seed = config.get("seed", 0)
+            if not isinstance(seed, int) or isinstance(seed, bool):
+                raise ConfigError("config.seed: expected an integer")
+        os.makedirs(args.out, exist_ok=True)
+        rng = np.random.default_rng(seed)
+        started = time.time()
         if args.subcommand == "prior-kn":
             cmd_prior_kn(config, args.out, seed, rng)
         elif args.subcommand == "prior-ekn":
@@ -561,7 +589,8 @@ def main(argv=None):
                             check_invariants=args.check_invariants)
         elif args.subcommand == "verify":
             status = 0 if cmd_verify(config, args.out, seed, rng) else 1
-    except ConfigError as exc:
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+        # a bad or unreadable config or data file: one line, not a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
     runtime = round(time.time() - started, 3)

@@ -12,7 +12,7 @@ from retained sweeps.
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -450,39 +450,6 @@ def update_atoms(state: GibbsState, data, kernel: MixtureKernel, rng) -> GibbsSt
     return state
 
 
-def _add_or_skip(a, b):
-    """a + b, with None standing for a sum of zeros."""
-    return b if a is None else a if b is None else a + b
-
-
-def _pairwise_row_sums(rows, cols, lo, hi):
-    """Row sums of a zero-padded matrix whose column cols[i] is rows[i] and
-    whose other columns are 0, over the columns [lo, hi), grouped as numpy's
-    pairwise summation groups a contiguous row: fewer than 8 terms left to
-    right; up to 128 terms in eight interleaved partial sums joined as a
-    balanced tree, then the remainder left to right; longer rows split in
-    two at a multiple of 8.  Zeros add exactly, so they are skipped; None
-    is returned when every column in the range is zero."""
-    n = hi - lo
-    if n > 128:
-        half = lo + n // 2 - (n // 2) % 8
-        return _add_or_skip(_pairwise_row_sums(rows, cols, lo, half),
-                            _pairwise_row_sums(rows, cols, half, hi))
-    total, rest = None, lo
-    if n >= 8:
-        rest = hi - n % 8
-        part = [None] * 8
-        for row, col in zip(rows, cols):
-            if lo <= col < rest:
-                part[(col - lo) % 8] = _add_or_skip(part[(col - lo) % 8], row)
-        pairs = [_add_or_skip(part[i], part[i + 1]) for i in (0, 2, 4, 6)]
-        total = _add_or_skip(_add_or_skip(pairs[0], pairs[1]), _add_or_skip(pairs[2], pairs[3]))
-    for row, col in zip(rows, cols):
-        if rest <= col < hi:
-            total = _add_or_skip(total, row)
-    return total
-
-
 def update_allocations(state: GibbsState, data, kernel: MixtureKernel, rng) -> GibbsState:
     """Draw each allocation from p(d_k = j) ∝ K(y_k | theta_j) 1{u_k < w_j}.
 
@@ -492,10 +459,11 @@ def update_allocations(state: GibbsState, data, kernel: MixtureKernel, rng) -> G
     others share one pass over the K sticks heavier than the smallest slice,
     kept in stick order, masked per datum and laid out stick-major, so every
     reduction runs over contiguous length-m vectors; the cost is O(n + m K),
-    not O(n phi).  Each draw is the one a dense n x phi categorical makes
-    from the same uniforms: adding the zeros of inadmissible sticks is
-    exact, and the normalising totals follow the grouping of numpy's row
-    sums over zero-padded rows.
+    not O(n phi).  Each draw inverts its own running sums: the uniform is
+    scaled by the last of them, which is at least 1 (the peak stick's term)
+    and exceeds the scaled uniform, and inadmissible sticks add exact zeros,
+    so the first running sum above the draw is a stick of positive
+    probability.
     """
     n = len(state.u)
     if n == 0:
@@ -510,35 +478,20 @@ def update_allocations(state: GibbsState, data, kernel: MixtureKernel, rng) -> G
     # the heaviest stick is unique whenever some datum admits it alone
     d = by_weight[-1:].repeat(n)
     multi = (u < weights[by_weight[-2]]).nonzero()[0] if phi > 1 else ()
-    m = len(multi)
-    if m == 0:
+    if len(multi) == 0:
         state.d = d
         return state
 
     top = (weights > u.min()).nonzero()[0]
-    cols = top.tolist()
     y = np.asarray(data, dtype=float)[multi]
-    logp = kernel.log_pdf_matrix(y, [state.atoms[j] for j in cols]).T.copy()
+    logp = kernel.log_pdf_matrix(y, [state.atoms[j] for j in top]).T.copy()
     admissible = weights[top][:, None] > u[multi]
     peak = np.where(admissible, logp, -np.inf).max(axis=0)
-    probs = np.exp(np.where(admissible, logp - peak, -np.inf))
-    draws = uniforms[multi] * _pairwise_row_sums(probs, cols, 0, phi)
-    # the dense count of cumulative sums <= draw is top[below], or phi past
-    # the last top stick: a stick outside top repeats the running sum before
-    # it, and those ahead of top[0] hold 0 <= draw
-    cum = probs.copy()
+    cum = np.exp(np.where(admissible, logp - peak, -np.inf))
     for i in range(1, len(top)):
         cum[i] += cum[i - 1]
-    below = (cum <= draws).sum(axis=0)
-    at = np.minimum(below, len(top) - 1)
-    got = probs[at, np.arange(m)]
-    if top[-1] != phi - 1:
-        got[below == len(top)] = 0.0  # clamped onto stick phi - 1, inadmissible
-    pick = top[at]
-    bad = (got == 0.0).nonzero()[0]  # float round-off at the categorical boundary
-    if len(bad):
-        pick[bad] = top[np.argmax(probs[:, bad], axis=0)]
-    d[multi] = pick
+    draws = uniforms[multi] * cum[-1]
+    d[multi] = top[(cum <= draws).sum(axis=0)]
     state.d = d
     return state
 
@@ -646,10 +599,17 @@ def update_lengths(
         else:
             q = cdf_a + rng.random() * (cdf_b - cdf_a)
             new_val = float(betaincinv(base_a, base_b, q))
-            new_val = min(max(new_val, np.nextafter(a_j, 1.0)), np.nextafter(b_j, 0.0))
-            new_val = min(max(new_val, 1e-300), 1.0 - 1e-16)
-            while new_val in distinct:
+            hi = np.nextafter(b_j, 0.0)
+            new_val = min(max(new_val, np.nextafter(a_j, 1.0), 1e-300), hi)
+            # emptied slots are dropped at the end, so only live values collide
+            taken = {x for x, c in zip(distinct, counts) if c > 0}
+            while new_val in taken and new_val < hi:
                 new_val = np.nextafter(new_val, 1.0)
+            if new_val in taken:  # no free double left in the interval
+                counts[slot_j] += 1
+                state.infeasible_slices += 1
+                prefix_prod *= 1.0 - v[j]
+                continue
             new_slot = len(distinct)
             distinct.append(new_val)
             counts.append(0)

@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy import stats
 
 import esbmix
@@ -40,7 +39,7 @@ from esbmix import (
 )
 from esbmix.analytics import kn_paths
 from esbmix.eppf import check_addition_rule
-from esbmix.mcmc import GibbsState, UnivariateNormalGamma, gibbs_sweep, initial_state
+from esbmix.mcmc import GibbsState, UnivariateNormalGamma, gibbs_sweep
 from esbmix.sticks import sb_transform
 
 

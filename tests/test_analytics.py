@@ -26,7 +26,7 @@ from esbmix.analytics import (
 from esbmix.eppf import Dirichlet, IdenticalDegenerate, IidDegenerate, PitmanYor
 from esbmix.numerics import log_beta_moment
 from esbmix.partitions import enumerate_partitions
-from esbmix.sticks import IidBeta, LengthPrefix, SharedBeta, SpeciesDriven, dsb, sample_lengths_prefix
+from esbmix.sticks import IidBeta, LengthPrefix, SharedBeta, dsb, sample_lengths_prefix
 
 
 def test_allocation_vector_stats():

@@ -1,7 +1,6 @@
 import csv
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -48,6 +47,12 @@ def test_parse_prior_rejections():
         parse_prior({"family": "dirichlet", "theta": -1.0})
     with pytest.raises(ConfigError):
         parse_prior({"family": "random-rho", "theta": 1.0})  # not allowed here
+    for alpha in (1.5, "x"):
+        with pytest.raises(ConfigError, match="alpha"):
+            parse_prior({"family": "pitman-yor", "alpha": alpha, "beta": 1.0, "theta": 1.0})
+    with pytest.raises(ConfigError, match="rho_bounds"):
+        parse_prior({"family": "random-rho", "theta": 1.0, "rho_bounds": ["a", 1]},
+                    allow_random_rho=True)
 
 
 def test_parse_kernel():
@@ -57,6 +62,10 @@ def test_parse_kernel():
         parse_kernel({"type": "univariate-normal-gamma", "lam": -1.0})
     with pytest.raises(ConfigError):
         parse_kernel({"type": "other"})
+    with pytest.raises(ConfigError, match="positive definite"):
+        parse_kernel({"type": "bivariate-normal-invwishart", "psi": [[1.0, 2.0], [2.0, 1.0]]})
+    with pytest.raises(ConfigError, match="psi"):
+        parse_kernel({"type": "bivariate-normal-invwishart", "psi": [[1.0, "x"], [0.0, 1.0]]})
 
 
 def test_load_data_csv(tmp_path):
@@ -282,6 +291,31 @@ def test_fit_unknown_key_rejected(tmp_path):
                      {"data": "x.csv", "prior": {"family": "dirichlet", "theta": 1.0},
                       "surprise": 1})
     assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("grid", [{"points": 0}, {"points": 2.5}, {"min": "a"}])
+def test_fit_bad_grid_rejected(tmp_path, grid):
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("0.1\n0.5\n-0.3\n")
+    cfg = write_json(tmp_path / "c.json",
+                     {"data": str(data_path), "prior": {"family": "dirichlet", "theta": 1.0},
+                      "iterations": 4, "burn_in": 1, "grid": grid})
+    out = tmp_path / "out"
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == 2
+    assert not (out / "density.csv").exists()
+
+
+def test_fit_unreadable_inputs_rejected(tmp_path):
+    out = str(tmp_path / "out")
+    missing_data = write_json(tmp_path / "c.json",
+                              {"data": str(tmp_path / "none.csv"),
+                               "prior": {"family": "dirichlet", "theta": 1.0}})
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{bad json")
+    for cfg in (missing_data, str(tmp_path / "none.json"), str(bad_json),
+                write_json(tmp_path / "list.json", [1, 2]),
+                write_json(tmp_path / "seed.json", {"seed": "x"})):
+        assert main(["fit", "--config", cfg, "--out", out]) == 2
 
 
 def test_verify_subcommand(tmp_path):

@@ -15,7 +15,7 @@ from esbmix.mcmc import (
     RandomRho,
     TraceRecord,
     UnivariateNormalGamma,
-    _pairwise_row_sums,
+    _beta_logpdf,
     _rho_log_conditional,
     _slice_sample_logit,
     cluster_assign,
@@ -33,15 +33,7 @@ from esbmix.mcmc import (
     update_rho,
     update_slices,
 )
-from esbmix.sticks import (
-    IidBeta,
-    LengthPrefix,
-    SharedBeta,
-    SpeciesDriven,
-    dsb,
-    sample_lengths_prefix,
-    sb_transform,
-)
+from esbmix.sticks import LengthPrefix, SharedBeta, dsb, sb_transform
 
 
 def make_state(values, atom_index, u, d, atoms, rho=None):
@@ -169,14 +161,10 @@ def _dense_allocations(state, data, kernel, rng):
         raise RuntimeError("empty slice support: truncation level too small")
     shifted = logp - np.max(np.where(admissible, logp, -np.inf), axis=1, keepdims=True)
     probs = np.where(admissible, np.exp(shifted), 0.0)
-    totals = probs.sum(axis=1)
-    draws = rng.random(n) * totals
-    d = (np.cumsum(probs, axis=1) <= draws[:, None]).sum(axis=1)
-    d = np.minimum(d, state.phi - 1)
-    rows = np.arange(n)
-    bad = probs[rows, d] == 0.0
-    if bad.any():
-        d[bad] = np.argmax(probs[bad], axis=1)
+    cum = np.cumsum(probs, axis=1)
+    draws = rng.random(n) * cum[:, -1]
+    d = (cum <= draws[:, None]).sum(axis=1)
+    assert np.all(probs[np.arange(n), d] > 0.0)
     state.d = d.astype(np.int64)
     return state
 
@@ -258,7 +246,6 @@ def allocation_inputs(draw):
 @settings(max_examples=200, deadline=None)
 @given(allocation_inputs())
 def test_update_allocations_matches_dense_draw(inputs):
-    # phi up to 20 crosses the 8- and 16-term groupings of numpy's row sums;
     # preset uniforms reach the categorical boundary
     weights, u, atoms, data, kernel, uniforms, seed = inputs
 
@@ -276,28 +263,11 @@ def test_update_allocations_matches_dense_draw(inputs):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_pairwise_row_sums_match_numpy_padded_rows():
-    # the allocation totals equal numpy's row sums of the zero-padded rows
-    # bit for bit; its grouping changes at 8 and 16 terms and past 128
-    gen = np.random.default_rng(12)
-    for phi in list(range(1, 41)) + [127, 128, 129, 136, 200, 300]:
-        for _ in range(5):
-            m = int(gen.integers(1, 6))
-            cols = np.sort(gen.choice(phi, size=int(gen.integers(1, phi + 1)), replace=False))
-            rows = gen.random((len(cols), m)) * np.exp(gen.normal(0.0, 20.0, (len(cols), 1)))
-            rows[gen.random(rows.shape) < 0.2] = 0.0
-            padded = np.zeros((m, phi))
-            padded[:, cols] = rows.T
-            totals = _pairwise_row_sums(rows, cols.tolist(), 0, phi)
-            assert np.array_equal(totals, padded.sum(axis=1))
-
-
-@pytest.mark.parametrize("last_admissible, expected", [(False, 0), (True, 8)])
-def test_update_allocations_boundary_past_the_last_stick(last_admissible, expected):
-    # probabilities (1, 1e-16 x 7, p_8): the running sum stays 1, numpy's
-    # eight-way row total exceeds it, so the largest uniform lands past the
-    # last stick.  The dense draw clamps to stick 8: kept when it is
-    # admissible, else the zero-probability fallback takes the argmax.
+@pytest.mark.parametrize("last_admissible", [False, True])
+def test_update_allocations_boundary_past_the_last_stick(last_admissible):
+    # probabilities (1, 1e-16 x 7, p_8): the running sums stay 1, so even the
+    # largest uniform scaled by the last of them lands on stick 0, whether
+    # or not stick 8 is admissible
     tiny = math.sqrt(2.0 * math.log(1e16))  # exp(-tiny**2 / 2) = 1e-16
     atoms = [(0.0, 1.0)] + [(tiny, 1.0)] * 8
     u = [0.005 if last_admissible else 0.05]
@@ -306,8 +276,8 @@ def test_update_allocations_boundary_past_the_last_stick(last_admissible, expect
     state = allocation_state([0.1] * 8 + [0.01], u, atoms)
     _dense_allocations(ref, data, UNIVARIATE, PresetUniforms([ONE_BELOW_ONE]))
     update_allocations(state, data, UNIVARIATE, PresetUniforms([ONE_BELOW_ONE]))
-    assert ref.d[0] == expected
-    assert state.d[0] == expected
+    assert ref.d[0] == 0
+    assert state.d[0] == 0
 
 
 def test_update_allocations_empty_slice_support_raises():
@@ -454,6 +424,43 @@ def test_update_lengths_skips_zero_weight_empty_stick():
     update_lengths(state, IidDegenerate(), 1.0, 1.0, rng)
     assert state.infeasible_slices == 0
     assert state.lengths.values[0] != 0.6
+    assert np.all(state.u < state.weights[state.d])
+
+
+def test_update_lengths_new_value_stays_below_one():
+    # the only double in the stick's interval is its own value 1 - 2^-53,
+    # whose slot the stick has just emptied: the new value takes it rather
+    # than stepping on to 1.0
+    v = 1.0 - 2.0 ** -53
+    state = make_state([v], [0], [np.nextafter(v, 0.0)], [0], [None])
+    update_lengths(state, Dirichlet(1.0), 1.0, 0.5, np.random.default_rng(0))
+    state.lengths.validate()
+    assert state.infeasible_slices == 0
+    assert state.lengths.distinct == [v]
+    assert np.all(state.u < state.weights[state.d])
+    assert np.isfinite(_beta_logpdf(state.lengths.distinct[0], 1.0, 0.5))
+
+
+class FixedDraws:
+    """Generator stand-in whose scalar draws are the largest uniform and a
+    unit exponential."""
+
+    def random(self):
+        return ONE_BELOW_ONE
+
+    def exponential(self):
+        return 1.0
+
+
+def test_update_lengths_no_free_double_is_infeasible():
+    # stick 1's slice caps stick 0 below nextafter(0.5, 1), and 0.5 is still
+    # held by stick 2: the new-value draw, clamped to 0.5, finds no free
+    # double, so stick 0 keeps its value and the slice counts as infeasible
+    state = make_state([0.5, 0.25], [0, 1, 0], [0.125 - 2.0 ** -55], [1], [None] * 3)
+    update_lengths(state, Dirichlet(1.0), 1.0, 1.0, FixedDraws())
+    assert state.infeasible_slices == 1
+    assert state.lengths.values[0] == 0.5
+    state.lengths.validate()
     assert np.all(state.u < state.weights[state.d])
 
 
