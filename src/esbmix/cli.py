@@ -65,6 +65,13 @@ def _positive(obj, key, where, kind=float):
     return val
 
 
+def _non_negative(obj, key, where, kind=float):
+    val = _number(obj[key], f"{where}.{key}", kind)
+    if val < 0:
+        raise ConfigError(f"{where}.{key}: must be non-negative")
+    return val
+
+
 def _build(where, make, *args, **kwargs):
     """make(*args, **kwargs), with its ValueError reported as a ConfigError."""
     try:
@@ -361,7 +368,7 @@ def cmd_fit(config, outdir, seed, rng, expect_header=False, check_invariants=Fal
         prior=prior,
         kernel=kernel,
         iterations=_positive(config, "iterations", "config", int) if "iterations" in config else 10_000,
-        burn_in=_positive(config, "burn_in", "config", int) if "burn_in" in config else 2_000,
+        burn_in=_non_negative(config, "burn_in", "config", int) if "burn_in" in config else 2_000,
         thin=_positive(config, "thin", "config", int) if "thin" in config else 4,
         seed=seed,
     )

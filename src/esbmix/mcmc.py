@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import betainc, betaincinv, betaln, gammaln, xlog1py, xlogy
-from scipy.stats import invwishart
 
 from .analytics import KnSummary
 from .eppf import Dirichlet, EppfModel, IdenticalDegenerate
@@ -74,6 +73,8 @@ class UnivariateNormalGamma:
     dim = 1
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.mu0, self.lam, self.a, self.b)):
+            raise ValueError("mu0, lam, a, b must be finite")
         if self.lam <= 0 or self.a <= 0 or self.b <= 0:
             raise ValueError("lam, a, b must be positive")
 
@@ -128,10 +129,41 @@ class UnivariateNormalGamma:
         return float(lp)
 
 
+def _cholesky2(a11, a21, a22):
+    """Lower Cholesky factor (l11, l21, l22) of the symmetric 2x2 matrix
+    [[a11, a21], [a21, a22]], or None if it is not positive definite."""
+    if not a11 > 0:
+        return None
+    l11 = math.sqrt(a11)
+    l21 = a21 * (1.0 / l11)  # times the reciprocal, as LAPACK's potrf: numpy's bits
+    d = a22 - l21 * l21
+    if not d > 0:
+        return None
+    return l11, l21, math.sqrt(d)
+
+
+def _tril_solve(l11, l21, l22, v1, v2):
+    """(z1, z2) = L^-1 (v1, v2) for L = [[l11, 0], [l21, l22]], elementwise
+    over arrays."""
+    z1 = v1 / l11
+    return z1, (v2 - l21 * z1) / l22
+
+
+def _log_normal2(dx, dy, l11, l21, l22, lognorm):
+    """log N2 at the offsets (dx, dy) from the mean, with Sigma = L L^T and
+    lognorm = -log(2 pi) - log l11 - log l22; elementwise, so broadcast and
+    gathered operands give the same bits."""
+    z1, z2 = _tril_solve(l11, l21, l22, dx, dy)
+    return lognorm - 0.5 * (z1 * z1 + z2 * z2)
+
+
 @dataclass(frozen=True)
 class BivariateNormalInvWishart:
     """Bivariate Gaussian kernel N2(y | m, Sigma) with Normal-inverse-Wishart
-    base: m | Sigma ~ N2(mu0, Sigma/lam), Sigma ~ IW(psi, nu)."""
+    base: m | Sigma ~ N2(mu0, Sigma/lam), Sigma ~ IW(psi, nu).
+
+    Every density and draw is closed-form 2x2 algebra on the Cholesky factor
+    L = [[l11, 0], [l21, l22]] of Sigma."""
 
     mu0: tuple
     lam: float
@@ -141,15 +173,20 @@ class BivariateNormalInvWishart:
     dim = 2
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError("lam must be positive and finite")
+        mu0 = np.asarray(self.mu0, dtype=float)
+        if mu0.shape != (2,) or not np.all(np.isfinite(mu0)):
+            raise ValueError("mu0 must be two finite numbers")
         psi = np.asarray(self.psi, dtype=float)
-        if psi.shape != (2, 2) or not np.allclose(psi, psi.T):
+        if psi.shape != (2, 2) or not np.all(np.isfinite(psi)):
+            raise ValueError("psi must be a finite 2x2 matrix")
+        if not np.allclose(psi, psi.T):
             raise ValueError("psi must be a symmetric 2x2 matrix")
-        if np.linalg.eigvalsh(psi).min() <= 0:
+        if _cholesky2(psi[0, 0], psi[1, 0], psi[1, 1]) is None:
             raise ValueError("psi must be positive definite")
-        if self.nu <= 1:
-            raise ValueError("nu must exceed dimension - 1 = 1")
+        if not (math.isfinite(self.nu) and self.nu > 1):
+            raise ValueError("nu must be finite and exceed dimension - 1 = 1")
 
     def _psi(self):
         return np.asarray(self.psi, dtype=float)
@@ -158,13 +195,36 @@ class BivariateNormalInvWishart:
         return np.asarray(self.mu0, dtype=float)
 
     def _draw(self, mu, lam, psi, nu, rng):
+        """(m, Sigma) with Sigma ~ IW(psi, nu), m ~ N2(mu, Sigma/lam).
+
+        Sigma = X X^T with X = C A^-1, C the Cholesky factor of psi and
+        A = [[sqrt(chi2_{nu-1}), 0], [N(0, 1), sqrt(chi2_nu)]]: the Bartlett
+        recipe of scipy.stats.invwishart, drawing the same variates in the
+        same order."""
+        p11, p21, p22 = float(psi[0][0]), float(psi[1][0]), float(psi[1][1])
         for jitter in (0.0, 1e-8):
-            scale = psi + jitter * np.eye(2)
-            if np.linalg.eigvalsh(scale).min() > 0:
-                sigma = invwishart.rvs(df=nu, scale=scale, random_state=rng)
-                m = rng.multivariate_normal(mu, sigma / lam)
-                return (m, np.asarray(sigma))
-        raise np.linalg.LinAlgError("posterior scale matrix is not positive definite")
+            chol = _cholesky2(p11 + jitter, p21, p22 + jitter)
+            if chol is not None:
+                break
+        else:
+            raise np.linalg.LinAlgError("posterior scale matrix is not positive definite")
+        c11, c21, c22 = chol
+        z = rng.normal()
+        a1 = math.sqrt(rng.chisquare(nu - 1.0))
+        a2 = math.sqrt(rng.chisquare(nu))
+        if not (a1 > 0.0 and a2 > 0.0):
+            raise np.linalg.LinAlgError("inverse-Wishart draw is not positive definite")
+        r1, r2 = 1.0 / a1, 1.0 / a2  # X = C A^-1 by reciprocals, as BLAS's trsm
+        x11 = c11 * r1
+        x22 = c22 * r2
+        x21 = (c21 - x22 * z) * r1
+        if not (0.0 < x11 < math.inf and 0.0 < x22 < math.inf and math.isfinite(x21)):
+            raise np.linalg.LinAlgError("inverse-Wishart draw is not positive definite")
+        s21 = x11 * x21
+        sigma = np.array([[x11 * x11, s21], [s21, x21 * x21 + x22 * x22]])
+        # sigma is positive definite by construction, so numpy's check is moot
+        m = rng.multivariate_normal(mu, sigma / lam, check_valid="ignore")
+        return (m, sigma)
 
     def sample_prior(self, rng):
         return self._draw(self._mu0(), self.lam, self._psi(), self.nu, rng)
@@ -188,47 +248,56 @@ class BivariateNormalInvWishart:
         mu_n, lam_n, psi_n, nu_n = self.posterior_params(ys)
         return self._draw(mu_n, lam_n, psi_n, nu_n, rng)
 
+    @staticmethod
+    def _factors(atoms):
+        """Per-atom mean coordinates, Cholesky entries of Sigma and log
+        normaliser, each an array over the atoms."""
+        means = np.array([a[0] for a in atoms], dtype=float).reshape(-1, 2)
+        sigmas = np.array([a[1] for a in atoms], dtype=float).reshape(-1, 2, 2)
+        l11 = np.sqrt(sigmas[:, 0, 0])
+        l21 = sigmas[:, 1, 0] * (1.0 / l11)  # as in _cholesky2
+        l22 = np.sqrt(sigmas[:, 1, 1] - l21 * l21)
+        lognorm = -LOG_2PI - np.log(l11) - np.log(l22)
+        return means[:, 0], means[:, 1], l11, l21, l22, lognorm
+
     def log_pdf_matrix(self, data, atoms):
         y = np.asarray(data, dtype=float).reshape(-1, 2)
-        out = np.empty((y.shape[0], len(atoms)))
-        for j, (m, sigma) in enumerate(atoms):
-            out[:, j] = self._log_pdf(y, m, sigma)
-        return out
+        mx, my, *scale = self._factors(atoms)
+        return _log_normal2(y[:, :1] - mx, y[:, 1:] - my, *scale)
 
     def log_pdf_at(self, data, atoms, d):
-        """Log density of each datum at its own atom, one occupied atom at
-        a time."""
+        """Log density of each datum at its own atom: row i of
+        log_pdf_matrix read at column d[i], with the same arithmetic."""
         y = np.asarray(data, dtype=float).reshape(-1, 2)
-        out = np.empty(y.shape[0])
-        for j in np.unique(d):
-            rows = d == j
-            m, sigma = atoms[j]
-            out[rows] = self._log_pdf(y[rows], m, sigma)
-        return out
-
-    @staticmethod
-    def _log_pdf(y, m, sigma):
-        chol = np.linalg.cholesky(sigma)
-        diff = y - m
-        sol = np.linalg.solve(chol, diff.T)
-        maha = np.sum(sol ** 2, axis=0)
-        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        return -LOG_2PI - 0.5 * logdet - 0.5 * maha
+        mx, my, *scale = self._factors(atoms)
+        return _log_normal2(y[:, 0] - mx[d], y[:, 1] - my[d], *(f[d] for f in scale))
 
     def pdf_grid(self, grid, atom):
-        pts = np.asarray(grid, dtype=float).reshape(-1, 2)
-        m, sigma = atom
-        return np.exp(self._log_pdf(pts, m, sigma))
+        return np.exp(self.log_pdf_matrix(grid, [atom])[:, 0])
 
     def log_prior_density(self, atom):
+        """log N2(m | mu0, Sigma/lam) + log IW(Sigma | psi, nu), where for
+        p = 2: log IW = (nu/2) log|psi| - nu log 2 - log Gamma_2(nu/2)
+        - ((nu+3)/2) log|Sigma| - tr(psi Sigma^-1)/2."""
         m, sigma = atom
-        mu0 = self._mu0()
-        cov = sigma / self.lam
-        chol = np.linalg.cholesky(cov)
-        diff = (np.asarray(m) - mu0).reshape(2)
-        sol = np.linalg.solve(chol, diff)
-        lp = -LOG_2PI - np.sum(np.log(np.diag(chol))) - 0.5 * np.sum(sol ** 2)
-        lp += invwishart.logpdf(sigma, df=self.nu, scale=self._psi())
+        s11, s21, s22 = sigma[0][0], sigma[1][0], sigma[1][1]
+        chol = _cholesky2(s11, s21, s22)
+        cov = _cholesky2(s11 / self.lam, s21 / self.lam, s22 / self.lam)
+        if chol is None or cov is None:
+            raise np.linalg.LinAlgError("Sigma is not positive definite")
+        lp = _log_normal2(m[0] - self.mu0[0], m[1] - self.mu0[1], *cov,
+                          -LOG_2PI - math.log(cov[0]) - math.log(cov[2]))
+        l11, l21, l22 = chol
+        log_det = 2.0 * (math.log(l11) + math.log(l22))
+        # tr(psi Sigma^-1) = |L^-1 C|_F^2 with C the Cholesky factor of psi
+        c11, c21, c22 = _cholesky2(self.psi[0][0], self.psi[1][0], self.psi[1][1])
+        y11, y21 = _tril_solve(l11, l21, l22, c11, c21)
+        y22 = c22 / l22
+        trace = y11 * y11 + y21 * y21 + y22 * y22
+        nu = self.nu
+        log_gamma2 = 0.5 * math.log(math.pi) + math.lgamma(0.5 * nu) + math.lgamma(0.5 * nu - 0.5)
+        lp += (nu * (math.log(c11) + math.log(c22)) - nu * math.log(2.0) - log_gamma2
+               - 0.5 * (nu + 3.0) * log_det - 0.5 * trace)
         return float(lp)
 
 
@@ -262,8 +331,8 @@ class RandomRho:
     rho_hi: float = 1.0
 
     def __post_init__(self):
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
+        if not (math.isfinite(self.theta) and self.theta > 0):
+            raise ValueError("theta must be positive and finite")
         if not (0.0 <= self.rho_lo < self.rho_hi <= 1.0):
             raise ValueError("need 0 <= rho_lo < rho_hi <= 1")
 

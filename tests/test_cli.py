@@ -305,6 +305,22 @@ def test_fit_bad_grid_rejected(tmp_path, grid):
     assert not (out / "density.csv").exists()
 
 
+def test_fit_burn_in_zero_accepted(tmp_path):
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("0.1\n0.5\n-0.3\n")
+    config = {"data": str(data_path), "prior": {"family": "dirichlet", "theta": 1.0},
+              "iterations": 6, "burn_in": 0, "thin": 2, "grid": {"points": 11}}
+    out = tmp_path / "out"
+    assert main(["fit", "--config", write_json(tmp_path / "c.json", config),
+                 "--out", str(out)]) == 0
+    assert len(read_csv(out / "trace.csv")) == 7  # sweeps 0-5, every one retained
+    for burn_in in (-1, 6, 1.5):
+        config["burn_in"] = burn_in
+        assert main(["fit", "--config", write_json(tmp_path / "c.json", config),
+                     "--out", str(tmp_path / "bad")]) == 2
+    assert not (tmp_path / "bad" / "trace.csv").exists()
+
+
 def test_fit_unreadable_inputs_rejected(tmp_path):
     out = str(tmp_path / "out")
     missing_data = write_json(tmp_path / "c.json",

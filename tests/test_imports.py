@@ -1,8 +1,13 @@
-"""Import hygiene: every module of the package reads each name it imports.
-The package's __init__.py is exempt, because its imports are its exports."""
+"""Import hygiene: every module of the package reads each name it imports
+(the package's __init__.py is exempt, because its imports are its exports),
+and no module imports scipy.stats, whose import alone costs most of a CLI
+start-up."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -30,3 +35,41 @@ def test_unused_imports_finds_unread_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_reads_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def stats_imports(source):
+    """Line numbers of the imports that load scipy.stats."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name == "scipy.stats" or name.startswith("scipy.stats.") for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_stats_imports_finds_every_form():
+    source = ("import scipy.stats\nfrom scipy import stats\nfrom scipy.stats import norm\n"
+              "import scipy.special\nfrom scipy.special import gammaln\n"
+              "import scipy.stats._multivariate as mv\n")
+    assert stats_imports(source) == [1, 2, 3, 6]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_does_not_import_scipy_stats(module):
+    assert stats_imports((PACKAGE / module).read_text()) == []
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    code = ("import sys, esbmix.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

@@ -708,6 +708,137 @@ def test_bivariate_kernel_updates():
         assert np.linalg.eigvalsh(sigma).min() > 0
 
 
+IDENTITY = ((1.0, 0.0), (0.0, 1.0))
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("make, args", [
+    (UnivariateNormalGamma, (0.0, NAN, 0.5, 0.5)),
+    (UnivariateNormalGamma, (NAN, 1.0, 0.5, 0.5)),
+    (UnivariateNormalGamma, (0.0, 1.0, INF, 0.5)),
+    (BivariateNormalInvWishart, ((0.0, 0.0), NAN, IDENTITY, 3.0)),
+    (BivariateNormalInvWishart, ((0.0, 0.0), 1.0, IDENTITY, NAN)),
+    (BivariateNormalInvWishart, ((0.0, 0.0), 1.0, IDENTITY, INF)),
+    (BivariateNormalInvWishart, ((INF, 0.0), 1.0, IDENTITY, 3.0)),
+    (BivariateNormalInvWishart, ((0.0,), 1.0, IDENTITY, 3.0)),
+    (BivariateNormalInvWishart, ((0.0, 0.0, 0.0), 1.0, IDENTITY, 3.0)),
+    (BivariateNormalInvWishart, ((0.0, 0.0), 1.0, ((1.0, NAN), (NAN, 1.0)), 3.0)),
+    (BivariateNormalInvWishart, ((0.0, 0.0), 1.0, ((INF, 0.0), (0.0, 1.0)), 3.0)),
+    (RandomRho, (NAN,)),
+    (RandomRho, (INF,)),
+], ids=["ng-lam-nan", "ng-mu0-nan", "ng-a-inf", "niw-lam-nan", "niw-nu-nan", "niw-nu-inf",
+        "niw-mu0-inf", "niw-mu0-short", "niw-mu0-long", "niw-psi-nan", "niw-psi-inf",
+        "rho-theta-nan", "rho-theta-inf"])
+def test_constructors_reject_non_finite_or_misshaped(make, args):
+    with pytest.raises(ValueError):
+        make(*args)
+
+
+# the second is the default kernel: lam = 0.01 puts far atoms in the test,
+# and nu = 2 draws Sigma with condition numbers up to about 5e5 here
+SCIPY_KERNELS = [
+    BivariateNormalInvWishart(mu0=(0.3, -1.0), lam=0.5, psi=((2.0, 0.4), (0.4, 1.0)), nu=3.5),
+    BivariateNormalInvWishart(mu0=(0.0, 0.0), lam=0.01, psi=IDENTITY, nu=2.0),
+]
+
+
+@pytest.mark.parametrize("kern", SCIPY_KERNELS)
+def test_bivariate_densities_match_scipy(kern):
+    rng = np.random.default_rng(31)
+    atoms = [kern.sample_prior(rng) for _ in range(500)]
+    psi = np.array(kern.psi)
+    for m, sigma in atoms:
+        ref = (stats.multivariate_normal.logpdf(m, kern.mu0, sigma / kern.lam)
+               + stats.invwishart.logpdf(sigma, df=kern.nu, scale=psi))
+        assert abs(kern.log_prior_density((m, sigma)) - ref) <= 1e-11 * (1.0 + abs(ref))
+    y = rng.normal(size=(200, 2)) * 4.0
+    logp = kern.log_pdf_matrix(y, atoms)
+    assert logp.shape == (200, 500)
+    for j, (m, sigma) in enumerate(atoms):
+        ref = stats.multivariate_normal.logpdf(y, m, sigma)
+        assert np.all(np.abs(logp[:, j] - ref) <= 1e-11 * (1.0 + np.abs(ref)))
+    for m, sigma in atoms[:20]:
+        ref = stats.multivariate_normal.pdf(y, m, sigma)
+        np.testing.assert_allclose(kern.pdf_grid(y, (m, sigma)), ref, rtol=1e-11, atol=0.0)
+    d = rng.integers(0, len(atoms), size=len(y))
+    assert np.array_equal(kern.log_pdf_at(y, atoms, d), logp[np.arange(len(y)), d])
+
+
+@pytest.mark.parametrize("kern", SCIPY_KERNELS)
+def test_bivariate_draw_matches_scipy(kern):
+    # the draw consumes scipy's variates in scipy's order: same atoms to
+    # rounding, same generator state afterwards
+    ys = np.random.default_rng(32).normal(size=(3, 2))
+    rng, ref_rng = np.random.default_rng(33), np.random.default_rng(33)
+    for data in (np.empty((0, 2)), ys):
+        mu, lam, psi, nu = kern.posterior_params(data)
+        for _ in range(150):
+            m, sigma = kern.sample_posterior(data, rng)
+            ref_sigma = stats.invwishart.rvs(df=nu, scale=psi, random_state=ref_rng)
+            ref_m = ref_rng.multivariate_normal(mu, ref_sigma / lam)
+            assert np.max(np.abs(sigma - ref_sigma)) <= 1e-12 * np.max(np.abs(ref_sigma))
+            assert np.max(np.abs(m - ref_m)) <= 1e-12 * np.max(np.abs(ref_m))
+            assert sigma[0, 1] == sigma[1, 0]
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_bivariate_draw_jitters_a_singular_scale_and_refuses_an_indefinite_one():
+    rng = np.random.default_rng(34)
+    m, sigma = BIVARIATE._draw(np.zeros(2), 1.0, np.ones((2, 2)), 3.0, rng)
+    assert np.all(np.isfinite(m)) and sigma[0, 0] > 0 and np.linalg.det(sigma) > 0
+    state = rng.bit_generator.state
+    with pytest.raises(np.linalg.LinAlgError, match="scale matrix"):
+        BIVARIATE._draw(np.zeros(2), 1.0, np.array([[1.0, 2.0], [2.0, 1.0]]), 3.0, rng)
+    assert rng.bit_generator.state == state  # refused before any draw
+
+
+class ChiSquareDraws:
+    """Generator stand-in with a zero normal and a fixed chi-square draw."""
+
+    def __init__(self, chi2):
+        self.chi2 = chi2
+
+    def normal(self):
+        return 0.0
+
+    def chisquare(self, df):
+        return self.chi2
+
+
+@pytest.mark.parametrize("chi2", [0.0, INF, NAN])
+def test_bivariate_draw_refuses_a_degenerate_bartlett_factor(chi2):
+    with pytest.raises(np.linalg.LinAlgError, match="inverse-Wishart draw"):
+        BIVARIATE.sample_prior(ChiSquareDraws(chi2))
+
+
+def test_bivariate_kernel_geweke_getting_it_right():
+    # Geweke (2004): alternating y ~ N2(m, Sigma) with (m, Sigma) ~ p(. | y)
+    # leaves the prior invariant, so the chain's marginal moments must match
+    # independent prior draws (nu > 5: Sigma has a variance)
+    kern = BivariateNormalInvWishart(mu0=(1.0, -0.5), lam=0.5,
+                                     psi=((2.0, 0.6), (0.6, 1.0)), nu=8.0)
+    rng = np.random.default_rng(2004)
+    draws, batches = 8000, 40
+
+    def moments(atom):
+        m, s = atom
+        return [m[0], m[1], m[0] * m[0], m[1] * m[1], m[0] * m[1],
+                s[0, 0], s[1, 0], s[1, 1], math.log(s[0, 0] * s[1, 1] - s[1, 0] ** 2)]
+
+    atom, chain = kern.sample_prior(rng), []
+    for _ in range(draws):
+        m, sigma = atom
+        ys = m + rng.standard_normal((3, 2)) @ np.linalg.cholesky(sigma).T
+        atom = kern.sample_posterior(ys, rng)
+        chain.append(moments(atom))
+    prior = np.array([moments(kern.sample_prior(rng)) for _ in range(draws)])
+    # batch means give the chain's standard error
+    batch_means = np.array(chain).reshape(batches, -1, prior.shape[1]).mean(axis=1)
+    se2 = batch_means.var(axis=0, ddof=1) / batches + prior.var(axis=0, ddof=1) / draws
+    z = (batch_means.mean(axis=0) - prior.mean(axis=0)) / np.sqrt(se2)
+    assert np.all(np.abs(z) < 4.0), z
+
+
 def test_bivariate_fit_smoke():
     rng = np.random.default_rng(21)
     data = np.vstack([rng.normal(size=(30, 2)) + [5, 5], rng.normal(size=(30, 2)) - [5, 5]])
