@@ -44,13 +44,11 @@ from .mcmc import (
     posterior_kn,
 )
 from .numerics import (
-    SeriesTolerance,
     exp_integral_e1,
     gauss_2f1_11,
     log_beta_moment,
     rising_factorial,
 )
-from .partitions import SetPartition, bell_number, enumerate_partitions, partition_of
 from .sticks import (
     IidBeta,
     LengthPrefix,

@@ -11,15 +11,14 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 from scipy.special import betainc, betaln, gammaln, logsumexp
 
 from .eppf import Dirichlet, EppfModel, IdenticalDegenerate, IidDegenerate, PitmanYor
 from .numerics import gauss_2f1_11, log_beta_moment, log_rising_factorial
-from .partitions import ENUMERATION_CAP, enumerate_partitions
-from .sticks import LengthPrefix, sample_length_pairs
+from .sticks import EXTENSION_CAP, LengthPrefix, sample_length_pairs
 
 __all__ = [
     "AllocationVector",
@@ -43,6 +42,10 @@ __all__ = [
 
 NEG_INF = float("-inf")
 
+# largest k = max(d) with an exact allocation probability; beyond it only the
+# Monte Carlo estimate is offered
+ENUMERATION_CAP = 12
+
 
 @dataclass(frozen=True)
 class AllocationVector:
@@ -54,8 +57,10 @@ class AllocationVector:
     def __post_init__(self):
         if len(self.d) == 0:
             raise ValueError("d must be nonempty")
-        if any(int(x) != x or x < 1 for x in self.d):
+        if not all(_is_positive_index(x) for x in self.d):
             raise ValueError("allocation indices must be positive integers")
+        # integral floats are stored as ints, which the exact sums index with
+        object.__setattr__(self, "d", tuple(int(x) for x in self.d))
 
     @property
     def k(self) -> int:
@@ -72,6 +77,13 @@ class AllocationVector:
     def t(self) -> np.ndarray:
         r = self.r
         return np.concatenate([np.cumsum(r[::-1])[::-1][1:], [0]])
+
+
+def _is_positive_index(x) -> bool:
+    """An integer, or an integral float, of at least 1; booleans are not indices."""
+    if isinstance(x, (float, np.floating)):
+        return x >= 1 and float(x).is_integer()
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 1
 
 
 @dataclass
@@ -112,8 +124,8 @@ def weight_ordering_c(v: float) -> float:
 def ordering_probability_dsb(beta: float, theta: float) -> float:
     """P[w_j >= w_{j+1}] for Dirichlet-driven sticks with Be(1, theta) base;
     does not depend on j."""
-    if beta <= 0 or theta <= 0:
-        raise ValueError("beta and theta must be positive")
+    if not (0 < beta < math.inf and 0 < theta < math.inf):
+        raise ValueError("beta and theta must be positive and finite")
     f = gauss_2f1_11(theta + 2.0, 0.5)
     return 1.0 - f * beta * theta / (2.0 * (beta + 1.0) * (theta + 1.0))
 
@@ -237,9 +249,7 @@ def _subset_table(k: int) -> _SubsetTable:
     return _SubsetTable(k)
 
 
-def allocation_probability(
-    d, model: EppfModel, base_a: float, base_b: float, cap: int = ENUMERATION_CAP
-) -> float:
+def allocation_probability(d, model: EppfModel, base_a: float, base_b: float) -> float:
     """P[d_1..d_n] for exchangeable lengths with a Be(a, b) base, exact.
 
     P is a sum over the set partitions of {1..k}, k = max(d), of the EPPF
@@ -254,15 +264,16 @@ def allocation_probability(
     and P = sum_m V(k, m) f_m[{1..k}].  Every term is positive, so the sums
     run in log space without cancellation.  The cost is O(k 3^k), against
     Bell(k) EPPF evaluations for term-by-term enumeration
-    (`allocation_probability_dsb`).  k must not exceed the cap; use
+    (`allocation_probability_dsb`).  k must not exceed ENUMERATION_CAP; use
     allocation_probability_mc beyond it.
     """
     _check_base_shapes(base_a, base_b)
     av = d if isinstance(d, AllocationVector) else AllocationVector(tuple(d))
     k = av.k
-    if k > cap:
+    if k > ENUMERATION_CAP:
         raise ValueError(
-            f"k={k} exceeds the partition-sum cap {cap}; use allocation_probability_mc"
+            f"k={k} exceeds the partition-sum cap {ENUMERATION_CAP}; "
+            "use allocation_probability_mc"
         )
     table = _subset_table(k)
     log_v, log_w_size = model.log_gibbs_factors(k)
@@ -287,7 +298,31 @@ def allocation_probability(
     return float(np.exp(logsumexp(terms)))
 
 
-def allocation_probability_dsb(d, beta: float, theta: float, cap: int = ENUMERATION_CAP) -> float:
+def enumerate_partitions(k: int) -> Iterator[tuple]:
+    """Yield every partition of {1..k}, k >= 1, exactly once, in lexicographic
+    order of the restricted growth string: a tuple of blocks, each block a
+    sorted tuple and the blocks ordered by least element.  There are Bell(k)
+    of them."""
+    a = [0] * k          # restricted growth string
+    b = [1] * k          # b[i] = 1 + max(a[:i]) for i >= 1
+    while True:
+        blocks = [[] for _ in range(max(a) + 1)]
+        for i, label in enumerate(a):
+            blocks[label].append(i + 1)
+        yield tuple(tuple(block) for block in blocks)
+        # advance to the next restricted growth string
+        j = k - 1
+        while j > 0 and a[j] == b[j]:
+            j -= 1
+        if j == 0:
+            return
+        a[j] += 1
+        for i in range(j + 1, k):
+            a[i] = 0
+            b[i] = max(b[j], a[j] + 1) if i == j + 1 else max(b[i - 1], a[i - 1] + 1)
+
+
+def allocation_probability_dsb(d, beta: float, theta: float) -> float:
     """Dirichlet-driven specialization of the allocation partition sum with
     Be(1, theta) base, in the fully reduced Pochhammer form.
 
@@ -296,16 +331,15 @@ def allocation_probability_dsb(d, beta: float, theta: float, cap: int = ENUMERAT
     no code with the subset programme, at about 30 us per partition."""
     av = d if isinstance(d, AllocationVector) else AllocationVector(tuple(d))
     k = av.k
-    if k > cap:
-        raise ValueError(f"k={k} exceeds the partition-sum cap {cap}")
+    if k > ENUMERATION_CAP:
+        raise ValueError(f"k={k} exceeds the partition-sum cap {ENUMERATION_CAP}")
     r, t = av.r, av.t
     log_bt = math.log(beta * theta)
     log_poch_beta_k = log_rising_factorial(beta, k)
     acc = NEG_INF
     for part in enumerate_partitions(k):
-        m = len(part.blocks)
-        lp = m * log_bt - log_poch_beta_k
-        for block in part.blocks:
+        lp = len(part) * log_bt - log_poch_beta_k
+        for block in part:
             rs = int(sum(r[i - 1] for i in block))
             ts = int(sum(t[i - 1] for i in block))
             lp += gammaln(len(block)) + gammaln(rs + 1)
@@ -384,7 +418,8 @@ def truncated_pair_mass(model: EppfModel, base_a: float, base_b: float, J: int) 
 # ---------------------------------------------------------------------------
 # vectorized simulation of allocations and K_n
 
-_CHUNK = 50_000
+_CHUNK = 50_000      # replicates simulated together
+_STREAM_COLUMNS = 250  # sticks grown column-wise before rows finish one by one
 
 
 def _grow(mat: np.ndarray, cols: int) -> np.ndarray:
@@ -402,7 +437,7 @@ def _log_no_new(j, s, beta, alpha):
 
 
 def _finish_row_scalar(u_sorted, order, d_row, ptr, cumw, j, classes, iid,
-                       beta, alpha, a, b, rng, cap):
+                       beta, alpha, a, b, rng):
     """Scalar continuation for one row the vectorized pass left uncovered;
     draws come from pre-generated blocks so each stick costs O(#classes).
 
@@ -473,7 +508,7 @@ def _finish_row_scalar(u_sorted, order, d_row, ptr, cumw, j, classes, iid,
                 ptr += 1
             continue
 
-        if j >= cap:
+        if j >= EXTENSION_CAP:
             raise RuntimeError("row extension cap exceeded; configuration looks improper")
         if iid:
             x = fresh[pos]
@@ -512,7 +547,7 @@ def _alloc_chunk_shared(u, a, b, rng):
     return np.floor(L).astype(np.int64) + 1
 
 
-def _alloc_chunk_stream(u, spec, rng, col_cap):
+def _alloc_chunk_stream(u, spec, rng):
     """Generic chunk: grow sticks column by column for the rows whose slice
     points are not yet all assigned, inverting partial sums on the fly."""
     model = spec.eppf_model()
@@ -540,7 +575,7 @@ def _alloc_chunk_stream(u, spec, rng, col_cap):
     cumw = np.zeros(B)
     active = np.arange(B)
     j = 0
-    while active.size and j < col_cap:
+    while active.size and j < _STREAM_COLUMNS:
         m = active.size
         if iid:
             vcol = rng.beta(a, b, size=m)
@@ -595,14 +630,12 @@ def _alloc_chunk_stream(u, spec, rng, col_cap):
                        for c, x in zip(counts[ridx, :kk], slotvals[ridx, :kk])]
         d[ridx] = _finish_row_scalar(
             u_sorted[ridx], order[ridx], d[ridx], int(ptr[ridx]), float(cumw[ridx]),
-            j, classes, iid, beta, alpha, a, b, rng, cap=10**6,
+            j, classes, iid, beta, alpha, a, b, rng,
         )
     return d
 
 
-def sample_allocations(
-    spec, n: int, replicates: int, rng: np.random.Generator, chunk: int = _CHUNK
-) -> np.ndarray:
+def sample_allocations(spec, n: int, replicates: int, rng: np.random.Generator) -> np.ndarray:
     """Draw `replicates` independent allocation vectors (d_1..d_n), 1-based:
     per replicate, n iid uniform slice points are inverted through the
     cumulative stick weights, extending the sticks as far as the largest
@@ -614,12 +647,12 @@ def sample_allocations(
     out = np.empty((replicates, n), dtype=np.int64)
     done = 0
     while done < replicates:
-        B = min(chunk, replicates - done)
+        B = min(_CHUNK, replicates - done)
         u = rng.random((B, n))
         if isinstance(model, IdenticalDegenerate):
             out[done:done + B] = _alloc_chunk_shared(u, a, b, rng)
         else:
-            out[done:done + B] = _alloc_chunk_stream(u, spec, rng, col_cap=250)
+            out[done:done + B] = _alloc_chunk_stream(u, spec, rng)
         done += B
     return out
 

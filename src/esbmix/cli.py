@@ -65,6 +65,28 @@ def _positive(obj, key, where, kind=float):
     return val
 
 
+def _positive_item(val, where):
+    """A finite number > 0, returned as given."""
+    if _number(val, where) <= 0:
+        raise ConfigError(f"{where}: must be positive")
+    return val
+
+
+def _d_vector(val, where):
+    """A nonempty list of positive integers (not booleans), returned as given."""
+    if (not isinstance(val, list) or not val
+            or any(not isinstance(x, int) or isinstance(x, bool) or x < 1 for x in val)):
+        raise ConfigError(f"{where}: expected a list of positive integers")
+    return val
+
+
+def _list_of(config, key, read):
+    """config[key] as a list, each item checked by read(item, where)."""
+    if not isinstance(config[key], list):
+        raise ConfigError(f"config.{key}: expected a list")
+    return [read(val, f"config.{key}[{i}]") for i, val in enumerate(config[key])]
+
+
 def _non_negative(obj, key, where, kind=float):
     val = _number(obj[key], f"{where}.{key}", kind)
     if val < 0:
@@ -234,11 +256,11 @@ def load_data_csv(path, expect_header=False):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_prior_kn(config, outdir, seed, rng):
+def cmd_prior_kn(config, args, rng):
     _require_keys(config, {"specs", "n", "replicates", "seed"}, {"specs", "n"}, "config")
     n = _positive(config, "n", "config", int)
     reps = _positive(config, "replicates", "config", int) if "replicates" in config else 10_000
-    specs = [parse_prior(s, f"specs[{i}]") for i, s in enumerate(config["specs"])]
+    specs = _list_of(config, "specs", parse_prior)
     cols, labels = [], []
     for spec, label in specs:
         summary = analytics.sample_kn(spec, n, reps, rng)
@@ -246,30 +268,30 @@ def cmd_prior_kn(config, outdir, seed, rng):
         labels.append(label)
         log.info("prior-kn: %s mean K_%d = %.3f", label, n, summary.mean())
     rows = [[k] + [col[k - 1] for col in cols] for k in range(1, n + 1)]
-    write_csv(os.path.join(outdir, "prior_kn.csv"), ["k"] + [f"freq_{l}" for l in labels], rows)
+    write_csv(os.path.join(args.out, "prior_kn.csv"), ["k"] + [f"freq_{l}" for l in labels], rows)
+    return 0, None
 
 
-def cmd_prior_ekn(config, outdir, seed, rng):
+def cmd_prior_ekn(config, args, rng):
     _require_keys(config, {"specs", "n_max", "replicates", "seed"}, {"specs", "n_max"}, "config")
     n_max = _positive(config, "n_max", "config", int)
     reps = _positive(config, "replicates", "config", int) if "replicates" in config else 10_000
-    specs = [parse_prior(s, f"specs[{i}]") for i, s in enumerate(config["specs"])]
+    specs = _list_of(config, "specs", parse_prior)
     cols, labels = [], []
     for spec, label in specs:
         cols.append(analytics.expected_kn_curve(spec, n_max, reps, rng))
         labels.append(label)
     rows = [[n] + [col[n - 1] for col in cols] for n in range(1, n_max + 1)]
-    write_csv(os.path.join(outdir, "prior_ekn.csv"), ["n"] + [f"ekn_{l}" for l in labels], rows)
+    write_csv(os.path.join(args.out, "prior_ekn.csv"), ["n"] + [f"ekn_{l}" for l in labels], rows)
+    return 0, None
 
 
-def cmd_order_prob(config, outdir, seed, rng):
+def cmd_order_prob(config, args, rng):
     _require_keys(
         config, {"betas", "thetas", "mc_replicates", "seed"}, {"betas", "thetas"}, "config"
     )
-    betas = config["betas"]
-    thetas = config["thetas"]
-    if not isinstance(betas, list) or not isinstance(thetas, list):
-        raise ConfigError("config.betas / config.thetas: expected lists")
+    betas = _list_of(config, "betas", _positive_item)
+    thetas = _list_of(config, "thetas", _positive_item)
     reps = (_positive(config, "mc_replicates", "config", int)
             if "mc_replicates" in config else 1_000_000)
     rows = []
@@ -279,13 +301,14 @@ def cmd_order_prob(config, outdir, seed, rng):
             est, se = analytics.ordering_probability_mc(sticks.dsb(beta, theta), reps, rng)
             rows.append([beta, theta, closed, est, se])
     write_csv(
-        os.path.join(outdir, "order_prob.csv"),
+        os.path.join(args.out, "order_prob.csv"),
         ["beta", "theta", "closed_form", "mc_estimate", "mc_stderr"],
         rows,
     )
+    return 0, None
 
 
-def cmd_alloc_prob(config, outdir, seed, rng, mc_fallback=False):
+def cmd_alloc_prob(config, args, rng):
     _require_keys(
         config,
         {"d_vectors", "model", "replicates", "seed"},
@@ -298,13 +321,10 @@ def cmd_alloc_prob(config, outdir, seed, rng, mc_fallback=False):
     reps = (_positive(config, "replicates", "config", int)
             if "replicates" in config else 1_000_000)
     rows = []
-    for i, d in enumerate(config["d_vectors"]):
-        if (not isinstance(d, list) or not d
-                or any(not isinstance(x, int) or x < 1 for x in d)):
-            raise ConfigError(f"config.d_vectors[{i}]: expected a list of positive integers")
+    for i, d in enumerate(_list_of(config, "d_vectors", _d_vector)):
         k = max(d)
         if k > analytics.ENUMERATION_CAP:
-            if not mc_fallback:
+            if not args.mc_fallback:
                 raise ConfigError(
                     f"config.d_vectors[{i}]: k={k} exceeds the exact cap "
                     f"{analytics.ENUMERATION_CAP}; rerun with --mc-fallback"
@@ -315,10 +335,11 @@ def cmd_alloc_prob(config, outdir, seed, rng, mc_fallback=False):
         est, se = analytics.allocation_probability_mc(d, spec, reps, rng)
         rows.append([";".join(str(x) for x in d), exact, est, se])
     write_csv(
-        os.path.join(outdir, "alloc_prob.csv"),
+        os.path.join(args.out, "alloc_prob.csv"),
         ["d", "exact_probability", "mc_estimate", "mc_stderr"],
         rows,
     )
+    return 0, None
 
 
 def _parse_grid(config, data, dim):
@@ -347,14 +368,14 @@ def _parse_grid(config, data, dim):
     return np.column_stack([xx.ravel(), yy.ravel()])
 
 
-def cmd_fit(config, outdir, seed, rng, expect_header=False, check_invariants=False):
+def cmd_fit(config, args, rng):
     _require_keys(
         config,
         {"data", "prior", "kernel", "iterations", "burn_in", "thin", "grid", "seed"},
         {"data", "prior"},
         "config",
     )
-    data = load_data_csv(config["data"], expect_header=expect_header)
+    data = load_data_csv(config["data"], expect_header=args.header)
     dim = 1 if data.ndim == 1 else 2
     prior, prior_label = parse_prior(config["prior"], "config.prior", allow_random_rho=True)
     kernel = (parse_kernel(config["kernel"], "config.kernel") if "kernel" in config
@@ -370,10 +391,10 @@ def cmd_fit(config, outdir, seed, rng, expect_header=False, check_invariants=Fal
         iterations=_positive(config, "iterations", "config", int) if "iterations" in config else 10_000,
         burn_in=_non_negative(config, "burn_in", "config", int) if "burn_in" in config else 2_000,
         thin=_positive(config, "thin", "config", int) if "thin" in config else 4,
-        seed=seed,
+        seed=args.seed,
     )
     log.info("fit: n=%d dim=%d prior=%s", len(data), dim, prior_label)
-    result = mcmc.fit(data, fit_config, rng=rng, check_invariants=check_invariants)
+    result = mcmc.fit(data, fit_config, rng=rng, check_invariants=args.check_invariants)
 
     eap = mcmc.eap_density(result.samples, kernel, grid)
     map_idx = mcmc.map_select(result.samples)
@@ -384,17 +405,17 @@ def cmd_fit(config, outdir, seed, rng, expect_header=False, check_invariants=Fal
     else:
         rows = [[g[0], g[1], e, m] for g, e, m in zip(grid, eap, map_dens)]
         header = ["x", "y", "eap_density", "map_density"]
-    write_csv(os.path.join(outdir, "density.csv"), header, rows)
+    write_csv(os.path.join(args.out, "density.csv"), header, rows)
 
     write_csv(
-        os.path.join(outdir, "posterior_kn.csv"),
+        os.path.join(args.out, "posterior_kn.csv"),
         ["k", "probability"],
         mcmc.posterior_kn(result).pmf.items(),
     )
 
     labels = mcmc.cluster_assign(result.samples[map_idx], data, kernel)
     write_csv(
-        os.path.join(outdir, "clusters.csv"),
+        os.path.join(args.out, "clusters.csv"),
         ["index", "label"],
         [[i, int(l)] for i, l in enumerate(labels)],
     )
@@ -405,7 +426,7 @@ def cmd_fit(config, outdir, seed, rng, expect_header=False, check_invariants=Fal
         for rec in result.trace
     ]
     write_csv(
-        os.path.join(outdir, "trace.csv"), ["sweep", "k_n", "rho", "log_score"], trace_rows
+        os.path.join(args.out, "trace.csv"), ["sweep", "k_n", "rho", "log_score"], trace_rows
     )
 
     extra = {
@@ -413,19 +434,19 @@ def cmd_fit(config, outdir, seed, rng, expect_header=False, check_invariants=Fal
         "prior": prior_label,
         "map_sample_index": map_idx,
         "invariant_checks": {"infeasible_slice_updates": result.infeasible_slices,
-                             "state_validated_each_sweep": check_invariants},
+                             "state_validated_each_sweep": args.check_invariants},
     }
     if random_rho:
         rhos = np.array([rec.rho for rec in result.trace])
         edges = np.linspace(0.0, 1.0, 21)
         hist, _ = np.histogram(rhos, bins=edges)
         write_csv(
-            os.path.join(outdir, "rho_hist.csv"),
+            os.path.join(args.out, "rho_hist.csv"),
             ["bin_left", "bin_right", "frequency"],
             [[edges[i], edges[i + 1], hist[i] / len(rhos)] for i in range(20)],
         )
         extra["posterior_rho_mean"] = float(rhos.mean())
-    return extra
+    return 0, extra
 
 
 # ---------------------------------------------------------------------------
@@ -518,26 +539,44 @@ def _verify_checks(rng, fault=None):
     return checks
 
 
-def cmd_verify(config, outdir, seed, rng):
+def cmd_verify(config, args, rng):
     _require_keys(config, {"inject_fault", "seed"}, set(), "config")
     fault = config.get("inject_fault")
     if fault is not None and fault != "ordering-sign-flip":
         raise ConfigError(f"config.inject_fault: unknown fault {fault!r}")
     checks = _verify_checks(rng, fault=fault)
     all_passed = all(c["passed"] for c in checks)
-    report = {"schema": "esbmix-verify-report/1", "seed": seed,
+    report = {"schema": "esbmix-verify-report/1", "seed": args.seed,
               "all_passed": all_passed, "checks": checks}
-    path = os.path.join(outdir, "verify_report.json")
+    path = os.path.join(args.out, "verify_report.json")
     with open(path, "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")
     for c in checks:
         print(("PASS" if c["passed"] else "FAIL"), c["name"], "-", c["detail"])
-    return all_passed
+    return (0 if all_passed else 1), None
 
 
 # ---------------------------------------------------------------------------
 # entry point
+
+# subcommand -> (handler, the flags only it reads); a handler takes the
+# config, the parsed arguments (with the seed resolved) and the generator,
+# and returns (exit status, extra manifest fields or None)
+SUBCOMMANDS = {
+    "prior-kn": (cmd_prior_kn, {}),
+    "prior-ekn": (cmd_prior_ekn, {}),
+    "order-prob": (cmd_order_prob, {}),
+    "alloc-prob": (cmd_alloc_prob, {
+        "--mc-fallback": "allow Monte Carlo-only rows where the exact cap is exceeded",
+    }),
+    "fit": (cmd_fit, {
+        "--header": "data CSV has a header row",
+        "--check-invariants": "validate the sampler state after every sweep",
+    }),
+    "verify": (cmd_verify, {}),
+}
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -546,17 +585,14 @@ def build_parser():
         "prior analytics and mixture density estimation.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in ("prior-kn", "prior-ekn", "order-prob", "alloc-prob", "fit", "verify"):
+    for name, (handler, flags) in SUBCOMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=(name != "verify"), help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (overrides config)")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--mc-fallback", action="store_true",
-                       help="allow Monte Carlo-only rows where the exact cap is exceeded")
-        p.add_argument("--header", action="store_true",
-                       help="data CSV has a header row (fit only)")
-        p.add_argument("--check-invariants", action="store_true",
-                       help="validate the sampler state after every sweep (fit only)")
+        for flag, help_text in flags.items():
+            p.add_argument(flag, action="store_true", help=help_text)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -566,8 +602,6 @@ def main(argv=None):
         format="%(levelname)s %(name)s: %(message)s",
     )
     args = build_parser().parse_args(argv)
-    extra = None
-    status = 0
     try:
         config = {}
         if args.config:
@@ -575,33 +609,20 @@ def main(argv=None):
                 config = json.load(f)
         if not isinstance(config, dict):
             raise ConfigError("config root must be an object")
-        seed = args.seed
-        if seed is None:
-            seed = config.get("seed", 0)
-            if not isinstance(seed, int) or isinstance(seed, bool):
+        if args.seed is None:
+            args.seed = config.get("seed", 0)
+            if not isinstance(args.seed, int) or isinstance(args.seed, bool):
                 raise ConfigError("config.seed: expected an integer")
         os.makedirs(args.out, exist_ok=True)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(args.seed)
         started = time.time()
-        if args.subcommand == "prior-kn":
-            cmd_prior_kn(config, args.out, seed, rng)
-        elif args.subcommand == "prior-ekn":
-            cmd_prior_ekn(config, args.out, seed, rng)
-        elif args.subcommand == "order-prob":
-            cmd_order_prob(config, args.out, seed, rng)
-        elif args.subcommand == "alloc-prob":
-            cmd_alloc_prob(config, args.out, seed, rng, mc_fallback=args.mc_fallback)
-        elif args.subcommand == "fit":
-            extra = cmd_fit(config, args.out, seed, rng, expect_header=args.header,
-                            check_invariants=args.check_invariants)
-        elif args.subcommand == "verify":
-            status = 0 if cmd_verify(config, args.out, seed, rng) else 1
+        status, extra = args.handler(config, args, rng)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         # a bad or unreadable config or data file: one line, not a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
     runtime = round(time.time() - started, 3)
-    write_manifest(args.out, args.subcommand, config, seed, runtime, extra)
+    write_manifest(args.out, args.subcommand, config, args.seed, runtime, extra)
     return status
 
 

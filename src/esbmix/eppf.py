@@ -70,8 +70,8 @@ class Dirichlet(EppfModel):
     beta: float
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("Dirichlet requires beta > 0")
+        if not 0 < self.beta < math.inf:
+            raise ValueError("Dirichlet requires a finite beta > 0")
 
     def log_eppf(self, sizes):
         _check_sizes(sizes)
@@ -109,8 +109,8 @@ class PitmanYor(EppfModel):
     def __post_init__(self):
         if not (0.0 <= self.alpha < 1.0):
             raise ValueError("PitmanYor requires alpha in [0, 1)")
-        if not self.beta > -self.alpha:
-            raise ValueError("PitmanYor requires beta > -alpha")
+        if not -self.alpha < self.beta < math.inf:
+            raise ValueError("PitmanYor requires a finite beta > -alpha")
 
     def log_eppf(self, sizes):
         _check_sizes(sizes)

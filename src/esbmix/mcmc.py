@@ -56,6 +56,12 @@ __all__ = [
 
 LOG_2PI = math.log(2.0 * math.pi)
 
+# shrink steps a tie-class refresh may take before it keeps the class's value
+REFRESH_SHRINKS = 60
+# step-out width and step limit, per side, of the slice sampler on logit(rho)
+LOGIT_STEP_WIDTH = 2.0
+LOGIT_MAX_STEPS = 20
+
 
 # ---------------------------------------------------------------------------
 # conjugate kernels
@@ -695,7 +701,7 @@ def update_lengths(
     return state
 
 
-def _refresh_distinct_values(state, umax, base_a, base_b, rng, max_shrink=60):
+def _refresh_distinct_values(state, umax, base_a, base_b, rng):
     """Resample each tie class's value from the base density restricted by
     the slice indicators, moving all positions of the class together.
 
@@ -704,6 +710,8 @@ def _refresh_distinct_values(state, umax, base_a, base_b, rng, max_shrink=60):
     Without it a class can only change value by dissolving; in particular the
     single-block (Geometric) case would never move its shared length at all.
     A trial value is feasible when every occupied stick keeps U_max[l] < w_l.
+    A class whose bracket runs out of shrink steps, or collapses, keeps its
+    value, and the give-up counts in `infeasible_slices`.
     """
     prefix = state.lengths
     occupied = np.flatnonzero(umax)
@@ -723,7 +731,7 @@ def _refresh_distinct_values(state, umax, base_a, base_b, rng, max_shrink=60):
         x0 = prefix.distinct[slot]
         level = _beta_logpdf(x0, base_a, base_b) - rng.exponential()
         left, right = 0.0, 1.0
-        for _ in range(max_shrink):
+        for shrinks in range(1, REFRESH_SHRINKS + 1):
             x1 = left + rng.random() * (right - left)
             # the draw can round onto an end of (0, 1), where the density
             # may be infinite; a length must stay strictly inside
@@ -740,7 +748,8 @@ def _refresh_distinct_values(state, umax, base_a, base_b, rng, max_shrink=60):
                 left = x1
             else:
                 right = x1
-            if right - left < 1e-300:
+            if shrinks == REFRESH_SHRINKS or right - left < 1e-300:
+                state.infeasible_slices += 1
                 break
 
 
@@ -753,17 +762,17 @@ def _rho_log_conditional(rho, m, k_distinct, lo, hi):
     return lp
 
 
-def _slice_sample_logit(x0, log_f, rng, width=2.0, max_steps=20):
+def _slice_sample_logit(x0, log_f, rng):
     y = log_f(x0) - rng.exponential()
-    left = x0 - width * rng.random()
-    right = left + width
-    steps = max_steps
+    left = x0 - LOGIT_STEP_WIDTH * rng.random()
+    right = left + LOGIT_STEP_WIDTH
+    steps = LOGIT_MAX_STEPS
     while steps > 0 and log_f(left) > y:
-        left -= width
+        left -= LOGIT_STEP_WIDTH
         steps -= 1
-    steps = max_steps
+    steps = LOGIT_MAX_STEPS
     while steps > 0 and log_f(right) > y:
-        right += width
+        right += LOGIT_STEP_WIDTH
         steps -= 1
     while True:
         x1 = left + rng.random() * (right - left)

@@ -5,12 +5,10 @@ Everything here is a pure function of its arguments.
 """
 
 import math
-from dataclasses import dataclass
 
 from scipy.special import gammaln
 
 __all__ = [
-    "SeriesTolerance",
     "SeriesConvergenceError",
     "rising_factorial",
     "log_rising_factorial",
@@ -21,22 +19,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeriesTolerance:
-    """Termination policy for series/continued-fraction evaluation."""
-
-    abs_tol: float = 1e-12
-    max_terms: int = 10_000
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
+# every series and continued fraction stops once a term (or the change of a
+# convergent) drops below ABS_TOL, and gives up after MAX_TERMS terms
+ABS_TOL = 1e-12
+MAX_TERMS = 10_000
 
 
 class SeriesConvergenceError(RuntimeError):
-    """Raised when a series fails to reach abs_tol within max_terms terms."""
+    """Raised when a series fails to reach ABS_TOL within MAX_TERMS terms."""
 
 
 def rising_factorial(x: float, m: int, step: float = 1.0) -> float:
@@ -71,7 +61,7 @@ def log_rising_factorial(x: float, m: int, step: float = 1.0) -> float:
     return float(sum(math.log(x + i * step) for i in range(m)))
 
 
-def gauss_2f1_11(c: float, z: float, tol: SeriesTolerance = SeriesTolerance()) -> float:
+def gauss_2f1_11(c: float, z: float) -> float:
     """2F1(1, 1; c; z) by direct series summation.
 
     The series is sum_n n! z^n / (c)_n; successive terms carry the ratio
@@ -84,33 +74,31 @@ def gauss_2f1_11(c: float, z: float, tol: SeriesTolerance = SeriesTolerance()) -
         raise ValueError("requires |z| < 1")
     total = 0.0
     term = 1.0
-    for n in range(tol.max_terms):
+    for n in range(MAX_TERMS):
         total += term
         term *= (n + 1) * z / (c + n)
-        if abs(term) < tol.abs_tol:
+        if abs(term) < ABS_TOL:
             return total
-    raise SeriesConvergenceError(
-        f"2F1 series did not reach {tol.abs_tol} within {tol.max_terms} terms"
-    )
+    raise SeriesConvergenceError(f"2F1 series did not reach {ABS_TOL} within {MAX_TERMS} terms")
 
 
 _EULER_GAMMA = 0.5772156649015328606
 
 
-def _e1_series(x: float, tol: SeriesTolerance) -> float:
+def _e1_series(x: float) -> float:
     # E1(x) = -gamma - ln x + sum_{k>=1} (-1)^{k+1} x^k / (k k!), for small x
     total = -_EULER_GAMMA - math.log(x)
     term = 1.0  # x^k / k! carried incrementally
-    for k in range(1, tol.max_terms):
+    for k in range(1, MAX_TERMS):
         term *= x / k
         contrib = term / k if k % 2 == 1 else -term / k
         total += contrib
-        if abs(contrib) < tol.abs_tol:
+        if abs(contrib) < ABS_TOL:
             return total
     raise SeriesConvergenceError("E1 series did not converge")
 
 
-def _e1_cf_scaled(x: float, tol: SeriesTolerance) -> float:
+def _e1_cf_scaled(x: float) -> float:
     # Modified-Lentz evaluation of the continued fraction for e^x E1(x):
     #   e^x E1(x) = 1/(x+1- 1/(x+3- 4/(x+5- 9/(x+7- ...))))
     tiny = 1e-300
@@ -118,7 +106,7 @@ def _e1_cf_scaled(x: float, tol: SeriesTolerance) -> float:
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for k in range(1, tol.max_terms):
+    for k in range(1, MAX_TERMS):
         a = -(k * k)
         b += 2.0
         d = 1.0 / max(abs(b + a * d), tiny) * math.copysign(1.0, b + a * d)
@@ -127,12 +115,12 @@ def _e1_cf_scaled(x: float, tol: SeriesTolerance) -> float:
             c = tiny
         delta = c * d
         h *= delta
-        if abs(delta - 1.0) < tol.abs_tol:
+        if abs(delta - 1.0) < ABS_TOL:
             return h
     raise SeriesConvergenceError("E1 continued fraction did not converge")
 
 
-def exp_integral_e1(x: float, tol: SeriesTolerance = SeriesTolerance()) -> float:
+def exp_integral_e1(x: float) -> float:
     """Exponential integral E1(x) = int_x^inf t^-1 e^-t dt, x > 0.
 
     Power series below x = 1, continued fraction above (the standard
@@ -141,18 +129,18 @@ def exp_integral_e1(x: float, tol: SeriesTolerance = SeriesTolerance()) -> float
     if x <= 0:
         raise ValueError("E1 requires x > 0")
     if x < 1.0:
-        return _e1_series(x, tol)
-    return math.exp(-x) * _e1_cf_scaled(x, tol)
+        return _e1_series(x)
+    return math.exp(-x) * _e1_cf_scaled(x)
 
 
-def exp_integral_e1_scaled(x: float, tol: SeriesTolerance = SeriesTolerance()) -> float:
+def exp_integral_e1_scaled(x: float) -> float:
     """e^x E1(x), usable where e^x alone would overflow (x >= 1 only needs
     the continued fraction; below 1 the plain product is safe)."""
     if x <= 0:
         raise ValueError("E1 requires x > 0")
     if x < 1.0:
-        return math.exp(x) * _e1_series(x, tol)
-    return _e1_cf_scaled(x, tol)
+        return math.exp(x) * _e1_series(x)
+    return _e1_cf_scaled(x)
 
 
 def log_beta_moment(a: float, b: float, p: float, q: float) -> float:

@@ -89,8 +89,8 @@ class LengthPrefix:
 
 
 def _check_beta_params(a, b):
-    if not (a > 0 and b > 0):
-        raise ValueError("Beta shape parameters must be positive")
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise ValueError("Beta shape parameters must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,8 @@ def dsb(beta: float, theta: float) -> SpeciesDriven:
 def sb_transform(v) -> np.ndarray:
     """Weights from length variables: w_j = v_j prod_{i<j} (1 - v_i)."""
     v = np.asarray(v, dtype=float)
-    if v.size and (v.min() < 0 or v.max() > 1):
+    # written so that NaN fails the test too
+    if v.size and not (v.min() >= 0 and v.max() <= 1):
         raise ValueError("length variables must lie in [0, 1]")
     w = v.copy()
     w[1:] *= np.cumprod(1.0 - v[:-1])  # sequential products, as a running residual
@@ -255,13 +256,12 @@ def extend_weights_until(
     spec,
     threshold: float,
     rng: np.random.Generator,
-    cap: int = EXTENSION_CAP,
 ) -> Tuple[LengthPrefix, np.ndarray]:
     """Extend the prefix under the conditional prediction rule until the
     weight prefix covers `threshold` mass; returns (prefix, weights).
 
     Always materializes at least one stick.  Raises ExtensionCapError when
-    the cap is hit, which diagnoses an improper configuration.
+    EXTENSION_CAP sticks do not suffice, which diagnoses an improper configuration.
     """
     if not (0.0 <= threshold < 1.0):
         raise ValueError("threshold must lie in [0, 1)")
@@ -275,16 +275,17 @@ def extend_weights_until(
     if isinstance(model, IdenticalDegenerate) and 1.0 - residual < threshold:
         v = prefix.distinct[0]
         needed = _shared_needed(v, threshold)
-        if needed > cap:
-            raise ExtensionCapError(f"needs {needed} sticks, cap is {cap}")
+        if needed > EXTENSION_CAP:
+            raise ExtensionCapError(f"needs {needed} sticks, cap is {EXTENSION_CAP}")
         if needed > len(prefix):
             _extend(prefix, spec, needed - len(prefix), rng)
         return prefix, sb_transform(prefix.values)
 
     while 1.0 - residual < threshold:
-        if len(prefix) >= cap:
+        if len(prefix) >= EXTENSION_CAP:
             raise ExtensionCapError(
-                f"stick mass {1.0 - residual:.6g} below target {threshold:.6g} after {cap} sticks"
+                f"stick mass {1.0 - residual:.6g} below target {threshold:.6g} "
+                f"after {EXTENSION_CAP} sticks"
             )
         _extend(prefix, spec, 1, rng)
         residual *= 1.0 - prefix.distinct[prefix.atom_index[-1]]

@@ -12,6 +12,7 @@ from esbmix.analytics import (
     allocation_probability_mc,
     conditional_ordering_probability,
     conditional_ordering_probability_dsb,
+    enumerate_partitions,
     expected_kn_curve,
     kn_paths,
     ordering_probability_dsb,
@@ -25,7 +26,6 @@ from esbmix.analytics import (
 )
 from esbmix.eppf import Dirichlet, IdenticalDegenerate, IidDegenerate, PitmanYor
 from esbmix.numerics import log_beta_moment
-from esbmix.partitions import enumerate_partitions
 from esbmix.sticks import IidBeta, LengthPrefix, SharedBeta, dsb, sample_lengths_prefix
 
 
@@ -44,10 +44,34 @@ def test_allocation_vector_stats():
         AllocationVector(())
 
 
+def test_allocation_vector_stores_int_indices():
+    av = AllocationVector((1.0, np.int64(2), 2))
+    assert av.d == (1, 2, 2) and all(type(x) is int for x in av.d)
+    for bad in ((True, 2), (1, np.True_), (1.5,), (math.nan,), (math.inf,), ("1",)):
+        with pytest.raises(ValueError, match="positive integers"):
+            AllocationVector(bad)
+
+
+def test_exact_sums_accept_integral_floats():
+    model = Dirichlet(1.0)
+    assert (allocation_probability([1.0, 2.0], model, 1.0, 1.0)
+            == allocation_probability([1, 2], model, 1.0, 1.0))
+    assert (allocation_probability_dsb([1.0, 2.0], 1.0, 1.0)
+            == allocation_probability_dsb([1, 2], 1.0, 1.0))
+
+
 def test_ordering_dsb_theta_one_closed_form():
     for beta in (0.25, 1.0, 9.0, 40.0):
         expected = (1.0 + beta * math.log(2.0)) / (1.0 + beta)
         assert ordering_probability_dsb(beta, 1.0) == pytest.approx(expected, abs=1e-10)
+
+
+def test_ordering_dsb_rejects_non_finite():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ordering_probability_dsb(bad, 1.0)
+        with pytest.raises(ValueError):
+            ordering_probability_dsb(1.0, bad)
 
 
 def test_ordering_dsb_beta_to_zero_limit():
@@ -217,6 +241,8 @@ def test_allocation_probability_vs_mc():
 def test_allocation_cap_refused():
     with pytest.raises(ValueError, match="cap"):
         allocation_probability([13], Dirichlet(1.0), 1.0, 1.0)
+    with pytest.raises(ValueError, match="cap"):
+        allocation_probability_dsb([13], 1.0, 1.0)
 
 
 def _partition_sum_reference(d, model, a, b):
@@ -225,10 +251,10 @@ def _partition_sum_reference(d, model, a, b):
     r, t = av.r, av.t
     total = 0.0
     for part in enumerate_partitions(av.k):
-        lp = model.log_eppf(part.sizes())
+        lp = model.log_eppf([len(b) for b in part])
         if lp == -math.inf:
             continue
-        for block in part.blocks:
+        for block in part:
             idx = [i - 1 for i in block]
             lp += log_beta_moment(a, b, int(r[idx].sum()), int(t[idx].sum()))
         total += math.exp(lp)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -5,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from esbmix.cli import ConfigError, load_data_csv, main, parse_kernel, parse_prior
+from esbmix.cli import ConfigError, build_parser, load_data_csv, main, parse_kernel, parse_prior
 from esbmix.mcmc import GibbsState, RandomRho, UnivariateNormalGamma
 from esbmix.sticks import IidBeta, SharedBeta, SpeciesDriven
 
@@ -19,6 +20,53 @@ def write_json(path, obj):
 def read_csv(path):
     with open(path, newline="") as f:
         return list(csv.reader(f))
+
+
+def test_each_subcommand_takes_only_its_options():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+               for name, p in sub.choices.items()}
+    common = {"--config", "--seed", "--out"}
+    assert options == {
+        "prior-kn": common,
+        "prior-ekn": common,
+        "order-prob": common,
+        "alloc-prob": common | {"--mc-fallback"},
+        "fit": common | {"--header", "--check-invariants"},
+        "verify": common,
+    }
+
+
+@pytest.mark.parametrize("subcommand, flag", [("prior-kn", "--header"),
+                                              ("fit", "--mc-fallback"),
+                                              ("alloc-prob", "--check-invariants")])
+def test_flag_of_another_subcommand_exits_2(tmp_path, subcommand, flag):
+    cfg = write_json(tmp_path / "c.json", {})
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--config", cfg, "--out", str(tmp_path / "o"), flag])
+    assert exc.value.code == 2
+
+
+DSB = {"family": "dsb", "beta": 1.0, "theta": 1.0}
+
+
+@pytest.mark.parametrize("subcommand, config", [
+    ("order-prob", {"betas": [-1.0], "thetas": [1.0], "mc_replicates": 100}),
+    ("order-prob", {"betas": ["a"], "thetas": [1.0], "mc_replicates": 100}),
+    ("order-prob", {"betas": [1.0], "thetas": [0], "mc_replicates": 100}),
+    ("alloc-prob", {"d_vectors": 5, "model": DSB}),
+    ("alloc-prob", {"d_vectors": [[True, 2]], "model": DSB, "replicates": 100}),
+    ("prior-kn", {"specs": 5, "n": 5}),
+    ("prior-ekn", {"specs": 5, "n_max": 5}),
+])
+def test_bad_analytics_config_exits_2(tmp_path, capsys, subcommand, config):
+    cfg = write_json(tmp_path / "c.json", config)
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.") and err.count("\n") == 1
+    assert not (out / "manifest.json").exists()
 
 
 def test_parse_prior_families():

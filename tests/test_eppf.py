@@ -194,3 +194,11 @@ def test_parameter_validation():
         Dirichlet(1.0).log_eppf([])
     with pytest.raises(ValueError):
         IdenticalDegenerate().prediction_weights([2, 1])
+
+
+def test_non_finite_parameters_rejected():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            Dirichlet(bad)
+        with pytest.raises(ValueError):
+            PitmanYor(0.5, bad)

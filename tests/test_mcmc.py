@@ -430,12 +430,13 @@ def test_update_lengths_skips_zero_weight_empty_stick():
 def test_update_lengths_new_value_stays_below_one():
     # the only double in the stick's interval is its own value 1 - 2^-53,
     # whose slot the stick has just emptied: the new value takes it rather
-    # than stepping on to 1.0
+    # than stepping on to 1.0; the class refresh that follows finds no other
+    # feasible double and gives up, which is the one infeasible update counted
     v = 1.0 - 2.0 ** -53
     state = make_state([v], [0], [np.nextafter(v, 0.0)], [0], [None])
     update_lengths(state, Dirichlet(1.0), 1.0, 0.5, np.random.default_rng(0))
     state.lengths.validate()
-    assert state.infeasible_slices == 0
+    assert state.infeasible_slices == 1
     assert state.lengths.distinct == [v]
     assert np.all(state.u < state.weights[state.d])
     assert np.isfinite(_beta_logpdf(state.lengths.distinct[0], 1.0, 0.5))
@@ -455,13 +456,28 @@ class FixedDraws:
 def test_update_lengths_no_free_double_is_infeasible():
     # stick 1's slice caps stick 0 below nextafter(0.5, 1), and 0.5 is still
     # held by stick 2: the new-value draw, clamped to 0.5, finds no free
-    # double, so stick 0 keeps its value and the slice counts as infeasible
+    # double, so stick 0 keeps its value and the slice counts as infeasible;
+    # the class refresh then gives up on stick 0's class, the second count
     state = make_state([0.5, 0.25], [0, 1, 0], [0.125 - 2.0 ** -55], [1], [None] * 3)
     update_lengths(state, Dirichlet(1.0), 1.0, 1.0, FixedDraws())
-    assert state.infeasible_slices == 1
+    assert state.infeasible_slices == 2
     assert state.lengths.values[0] == 0.5
     state.lengths.validate()
     assert np.all(state.u < state.weights[state.d])
+
+
+def test_class_refresh_give_up_keeps_value():
+    # one Geometric class at 0.5 on three sticks, stick 1 sliced at 0.2:
+    # every trial sits just below the bracket's right end, where stick 1's
+    # weight x (1 - x) falls under its slice, so the bracket shrinks by about
+    # one ulp a step until the shrink budget runs out and the class gives up
+    state = make_state([0.5], [0, 0, 0], [0.2], [1], [(0.0, 1.0)] * 3)
+    weights = state.weights.copy()
+    update_lengths(state, IdenticalDegenerate(), 1.0, 1.0, FixedDraws())
+    assert state.infeasible_slices == 1
+    assert state.lengths.distinct == [0.5]
+    assert np.array_equal(state.weights, weights)
+    state.validate()
 
 
 OPEN_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)

@@ -269,3 +269,15 @@ def test_spec_validation():
         SpeciesDriven(Dirichlet(1.0), 1.0, 0.0)
     with pytest.raises(ValueError):
         sample_lengths_prefix(IidBeta(1, 1), 0, np.random.default_rng(0))
+
+
+def test_non_finite_inputs_rejected():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            IidBeta(bad, 1.0)
+        with pytest.raises(ValueError):
+            SharedBeta(1.0, bad)
+        with pytest.raises(ValueError):
+            SpeciesDriven(Dirichlet(1.0), 1.0, bad)
+        with pytest.raises(ValueError):
+            sb_transform([0.5, bad])
