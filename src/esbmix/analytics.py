@@ -18,7 +18,7 @@ from scipy.special import betainc, betaln, gammaln, logsumexp
 
 from .eppf import Dirichlet, EppfModel, IdenticalDegenerate, IidDegenerate, PitmanYor
 from .numerics import gauss_2f1_11, log_beta_moment, log_rising_factorial
-from .sticks import EXTENSION_CAP, LengthPrefix, sample_length_pairs
+from .sticks import EXTENSION_CAP, LengthPrefix, _check_base_shapes, sample_length_pairs
 
 __all__ = [
     "AllocationVector",
@@ -237,11 +237,6 @@ class _SubsetTable:
             self.starts = np.concatenate([[0], np.cumsum(self.sizes)[:-1]])
         for arr in vars(self).values():  # one cached table serves every call
             arr.flags.writeable = False
-
-
-def _check_base_shapes(base_a: float, base_b: float) -> None:
-    if not (math.isfinite(base_a) and math.isfinite(base_b) and base_a > 0 and base_b > 0):
-        raise ValueError(f"Beta base shapes must be positive and finite, got ({base_a}, {base_b})")
 
 
 @functools.lru_cache(maxsize=ENUMERATION_CAP)
@@ -550,8 +545,8 @@ def _alloc_chunk_shared(u, a, b, rng):
 def _alloc_chunk_stream(u, spec, rng):
     """Generic chunk: grow sticks column by column for the rows whose slice
     points are not yet all assigned, inverting partial sums on the fly."""
-    model = spec.eppf_model()
-    a, b = spec.base()
+    model = spec.eppf
+    a, b = spec.base_a, spec.base_b
     B, n = u.shape
 
     iid = isinstance(model, IidDegenerate)
@@ -642,8 +637,8 @@ def sample_allocations(spec, n: int, replicates: int, rng: np.random.Generator) 
     slice point requires."""
     if n < 1 or replicates < 1:
         raise ValueError("n and replicates must be >= 1")
-    model = spec.eppf_model()
-    a, b = spec.base()
+    model = spec.eppf
+    a, b = spec.base_a, spec.base_b
     out = np.empty((replicates, n), dtype=np.int64)
     done = 0
     while done < replicates:

@@ -316,8 +316,6 @@ def cmd_alloc_prob(config, args, rng):
         "config",
     )
     spec, _ = parse_prior(config["model"], "config.model")
-    model = spec.eppf_model()
-    base_a, base_b = spec.base()
     reps = (_positive(config, "replicates", "config", int)
             if "replicates" in config else 1_000_000)
     rows = []
@@ -331,7 +329,7 @@ def cmd_alloc_prob(config, args, rng):
                 )
             exact = ""
         else:
-            exact = analytics.allocation_probability(d, model, base_a, base_b)
+            exact = analytics.allocation_probability(d, spec.eppf, spec.base_a, spec.base_b)
         est, se = analytics.allocation_probability_mc(d, spec, reps, rng)
         rows.append([";".join(str(x) for x in d), exact, est, se])
     write_csv(

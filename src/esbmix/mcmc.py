@@ -19,13 +19,12 @@ import numpy as np
 from scipy.special import betainc, betaincinv, betaln, gammaln, xlog1py, xlogy
 
 from .analytics import KnSummary
-from .eppf import Dirichlet, EppfModel, IdenticalDegenerate
+from .eppf import IdenticalDegenerate
 from .sticks import (
-    IidBeta,
     LengthPrefix,
-    SharedBeta,
     SpeciesDriven,
     _extend,
+    dsb,
     extend_weights_until,
     sample_lengths_prefix,
     sb_transform,
@@ -343,7 +342,7 @@ class RandomRho:
             raise ValueError("need 0 <= rho_lo < rho_hi <= 1")
 
 
-PriorSpec = Union[IidBeta, SharedBeta, SpeciesDriven, RandomRho]
+PriorSpec = Union[SpeciesDriven, RandomRho]
 
 
 @dataclass
@@ -356,6 +355,13 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.prior, (SpeciesDriven, RandomRho)):
+            raise TypeError(
+                f"prior must be a SpeciesDriven or RandomRho, got {type(self.prior).__name__}")
+        for name in ("iterations", "burn_in", "thin"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
         if not (0 <= self.burn_in < self.iterations):
@@ -409,15 +415,13 @@ class GibbsState:
                 raise ValueError("truncation level too small for the slices")
 
 
-def _resolve(prior: PriorSpec, rho: Optional[float]):
-    """(eppf model, base a, base b) for the current sweep."""
+def _resolve(prior: PriorSpec, rho: Optional[float]) -> SpeciesDriven:
+    """The length law of the current sweep."""
     if isinstance(prior, RandomRho):
         if rho is None or not (0.0 < rho < 1.0):
             raise ValueError("RandomRho prior needs rho in (0, 1)")
-        return Dirichlet((1.0 - rho) / rho), 1.0, prior.theta
-    model = prior.eppf_model()
-    a, b = prior.base()
-    return model, a, b
+        return dsb((1.0 - rho) / rho, prior.theta)
+    return prior
 
 
 def initial_state(data: np.ndarray, config: FitConfig, rng: np.random.Generator) -> GibbsState:
@@ -427,8 +431,7 @@ def initial_state(data: np.ndarray, config: FitConfig, rng: np.random.Generator)
     if isinstance(config.prior, RandomRho):
         rho = rng.uniform(config.prior.rho_lo, config.prior.rho_hi)
         rho = min(max(rho, 1e-12), 1.0 - 1e-12)
-    model, a, b = _resolve(config.prior, rho)
-    lengths = sample_lengths_prefix(SpeciesDriven(model, a, b), 1, rng)
+    lengths = sample_lengths_prefix(_resolve(config.prior, rho), 1, rng)
     weights = sb_transform(lengths.values)
     atoms = [config.kernel.sample_prior(rng)]
     d = np.zeros(n, dtype=np.int64)
@@ -470,9 +473,7 @@ def _truncate_prefix(prefix: LengthPrefix, keep: int) -> LengthPrefix:
 
 def ensure_truncation(
     state: GibbsState,
-    model: EppfModel,
-    base_a: float,
-    base_b: float,
+    spec: SpeciesDriven,
     kernel: MixtureKernel,
     rng: np.random.Generator,
     min_phi: int = 1,
@@ -481,7 +482,6 @@ def ensure_truncation(
     max_k(1 - u_k): extend with conditional prior draws (atoms from the base
     measure), and trim sticks the slices no longer reach."""
     threshold = float(np.max(1.0 - state.u)) if len(state.u) else 0.0
-    spec = SpeciesDriven(model, base_a, base_b)
     prefix = state.lengths
 
     prefix, weights = extend_weights_until(prefix, spec, min(threshold, 1.0 - 1e-15), rng)
@@ -585,7 +585,7 @@ def _slice_maxima(state: GibbsState) -> np.ndarray:
     return umax
 
 
-def length_conditional_options(model, base_a, base_b, distinct, counts_minus, a_j, b_j):
+def length_conditional_options(spec: SpeciesDriven, distinct, counts_minus, a_j, b_j):
     """Mixture weights of one stick's full conditional on the interval
     (a_j, b_j): one entry per other-stick distinct value (masked to the
     interval), then the truncated-base branch mass.
@@ -594,9 +594,9 @@ def length_conditional_options(model, base_a, base_b, distinct, counts_minus, a_
     last option weight is the new-value branch.
     """
     active = [s for s in range(len(distinct)) if counts_minus[s] > 0]
-    existing, new_w = model.prediction_weights([counts_minus[s] for s in active])
-    cdf_a = float(betainc(base_a, base_b, a_j))
-    cdf_b = float(betainc(base_a, base_b, b_j))
+    existing, new_w = spec.eppf.prediction_weights([counts_minus[s] for s in active])
+    cdf_a = float(betainc(spec.base_a, spec.base_b, a_j))
+    cdf_b = float(betainc(spec.base_a, spec.base_b, b_j))
     opt_w = [
         float(existing[i]) if a_j < distinct[s] < b_j else 0.0
         for i, s in enumerate(active)
@@ -605,13 +605,7 @@ def length_conditional_options(model, base_a, base_b, distinct, counts_minus, a_
     return active, opt_w, cdf_a, cdf_b
 
 
-def update_lengths(
-    state: GibbsState,
-    model: EppfModel,
-    base_a: float,
-    base_b: float,
-    rng: np.random.Generator,
-) -> GibbsState:
+def update_lengths(state: GibbsState, spec: SpeciesDriven, rng: np.random.Generator) -> GibbsState:
     """Resample each length variable from its full conditional: a mixture of
     point masses at the other sticks' distinct values and a truncated Beta,
     restricted to the interval the slice indicators leave open."""
@@ -621,10 +615,10 @@ def update_lengths(
     weights = state.weights.copy()
     umax = _slice_maxima(state)
 
-    if isinstance(model, IdenticalDegenerate) and len(prefix.distinct) == 1:
+    if isinstance(spec.eppf, IdenticalDegenerate) and len(prefix.distinct) == 1:
         # single shared value: per-position conditionals are point masses at
         # the current value, so only the joint class refresh can move it
-        _refresh_distinct_values(state, umax, base_a, base_b, rng)
+        _refresh_distinct_values(state, umax, spec, rng)
         return state
 
     occupied = np.flatnonzero(umax)
@@ -649,7 +643,7 @@ def update_lengths(
         slot_j = atom_index[j]
         counts[slot_j] -= 1
         active, opt_w, cdf_a, cdf_b = length_conditional_options(
-            model, base_a, base_b, distinct, counts, a_j, b_j
+            spec, distinct, counts, a_j, b_j
         )
         total = sum(opt_w)
         if total <= 0.0:
@@ -673,7 +667,7 @@ def update_lengths(
             new_val = distinct[new_slot]
         else:
             q = cdf_a + rng.random() * (cdf_b - cdf_a)
-            new_val = float(betaincinv(base_a, base_b, q))
+            new_val = float(betaincinv(spec.base_a, spec.base_b, q))
             hi = np.nextafter(b_j, 0.0)
             new_val = min(max(new_val, np.nextafter(a_j, 1.0), 1e-300), hi)
             # emptied slots are dropped at the end, so only live values collide
@@ -697,11 +691,11 @@ def update_lengths(
     # drop emptied slots, renumbering in order of first appearance
     state.lengths = _truncate_prefix(LengthPrefix(atom_index, distinct, counts), phi)
     state.weights = sb_transform(state.lengths.values)
-    _refresh_distinct_values(state, umax, base_a, base_b, rng)
+    _refresh_distinct_values(state, umax, spec, rng)
     return state
 
 
-def _refresh_distinct_values(state, umax, base_a, base_b, rng):
+def _refresh_distinct_values(state, umax, spec, rng):
     """Resample each tie class's value from the base density restricted by
     the slice indicators, moving all positions of the class together.
 
@@ -729,7 +723,7 @@ def _refresh_distinct_values(state, umax, base_a, base_b, rng):
             return w
 
         x0 = prefix.distinct[slot]
-        level = _beta_logpdf(x0, base_a, base_b) - rng.exponential()
+        level = _beta_logpdf(x0, spec.base_a, spec.base_b) - rng.exponential()
         left, right = 0.0, 1.0
         for shrinks in range(1, REFRESH_SHRINKS + 1):
             x1 = left + rng.random() * (right - left)
@@ -737,7 +731,7 @@ def _refresh_distinct_values(state, umax, base_a, base_b, rng):
             # may be infinite; a length must stay strictly inside
             if (0.0 < x1 < 1.0
                     and x1 not in prefix.distinct
-                    and _beta_logpdf(x1, base_a, base_b) > level):
+                    and _beta_logpdf(x1, spec.base_a, spec.base_b) > level):
                 w = feasible(x1)
                 if w is not None:
                     prefix.distinct[slot] = float(x1)
@@ -811,9 +805,7 @@ def complete_data_log_score(
     state: GibbsState,
     data,
     kernel: MixtureKernel,
-    model: EppfModel,
-    base_a: float,
-    base_b: float,
+    spec: SpeciesDriven,
 ) -> float:
     """log of the complete-data likelihood times the prior density of the
     instantiated sticks and atoms; -inf if any slice indicator is violated."""
@@ -825,11 +817,12 @@ def complete_data_log_score(
         score += float(kernel.log_pdf_at(data, state.atoms[: state.phi], state.d).sum())
     for atom in state.atoms[: state.phi]:
         score += kernel.log_prior_density(atom)
-    lp = model.log_eppf(state.lengths.counts)
+    lp = spec.eppf.log_eppf(state.lengths.counts)
     if lp == -np.inf:
         return -np.inf
     score += lp
-    score += float(np.sum(_beta_logpdf(np.asarray(state.lengths.distinct), base_a, base_b)))
+    distinct = np.asarray(state.lengths.distinct)
+    score += float(np.sum(_beta_logpdf(distinct, spec.base_a, spec.base_b)))
     return score
 
 
@@ -841,19 +834,19 @@ def gibbs_sweep(
     min_phi: int = 1,
 ) -> GibbsState:
     """One full sweep; restores every state invariant before returning."""
-    model, base_a, base_b = _resolve(config.prior, state.rho)
+    spec = _resolve(config.prior, state.rho)
     kernel = config.kernel
     update_slices(state, rng)
-    ensure_truncation(state, model, base_a, base_b, kernel, rng, min_phi=min_phi)
-    update_lengths(state, model, base_a, base_b, rng)
+    ensure_truncation(state, spec, kernel, rng, min_phi=min_phi)
+    update_lengths(state, spec, rng)
     # length moves can shrink the covered mass, so top the truncation back up
-    ensure_truncation(state, model, base_a, base_b, kernel, rng, min_phi=min_phi)
+    ensure_truncation(state, spec, kernel, rng, min_phi=min_phi)
     update_allocations(state, data, kernel, rng)
     update_atoms(state, data, kernel, rng)
     if isinstance(config.prior, RandomRho):
         update_rho(state, config.prior, rng)
-        model, base_a, base_b = _resolve(config.prior, state.rho)
-    state.log_score = complete_data_log_score(state, data, kernel, model, base_a, base_b)
+        spec = _resolve(config.prior, state.rho)
+    state.log_score = complete_data_log_score(state, data, kernel, spec)
     return state
 
 

@@ -88,63 +88,37 @@ class LengthPrefix:
         return LengthPrefix(list(self.atom_index), list(self.distinct), list(self.counts))
 
 
-def _check_beta_params(a, b):
-    if not (0 < a < math.inf and 0 < b < math.inf):
-        raise ValueError("Beta shape parameters must be positive and finite")
-
-
-@dataclass(frozen=True)
-class IidBeta:
-    """Independent Beta(a, b) length variables; Be(1, theta) gives a
-    Dirichlet process with total mass theta."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        _check_beta_params(self.a, self.b)
-
-    def eppf_model(self) -> EppfModel:
-        return IidDegenerate()
-
-    def base(self) -> Tuple[float, float]:
-        return (self.a, self.b)
-
-
-@dataclass(frozen=True)
-class SharedBeta:
-    """One Beta(a, b) draw shared by every position: the Geometric process."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        _check_beta_params(self.a, self.b)
-
-    def eppf_model(self) -> EppfModel:
-        return IdenticalDegenerate()
-
-    def base(self) -> Tuple[float, float]:
-        return (self.a, self.b)
+def _check_base_shapes(base_a: float, base_b: float) -> None:
+    if not (math.isfinite(base_a) and math.isfinite(base_b) and base_a > 0 and base_b > 0):
+        raise ValueError(f"Beta base shapes must be positive and finite, got ({base_a}, {base_b})")
 
 
 @dataclass(frozen=True)
 class SpeciesDriven:
     """Length variables drawn iid from a species sampling process with the
-    given EPPF and Be(base_a, base_b) base measure."""
+    given EPPF and Be(base_a, base_b) base measure.  IidBeta, SharedBeta and
+    dsb return instances of it."""
 
     eppf: EppfModel
     base_a: float
     base_b: float
 
     def __post_init__(self):
-        _check_beta_params(self.base_a, self.base_b)
+        if not isinstance(self.eppf, EppfModel):
+            raise TypeError(f"eppf must be an EppfModel, got {type(self.eppf).__name__}")
+        _check_base_shapes(self.base_a, self.base_b)
 
-    def eppf_model(self) -> EppfModel:
-        return self.eppf
 
-    def base(self) -> Tuple[float, float]:
-        return (self.base_a, self.base_b)
+def IidBeta(a: float, b: float) -> SpeciesDriven:
+    """Independent Be(a, b) lengths, the iid limit; Be(1, theta) gives a
+    Dirichlet process with total mass theta."""
+    return SpeciesDriven(IidDegenerate(), a, b)
+
+
+def SharedBeta(a: float, b: float) -> SpeciesDriven:
+    """One Be(a, b) draw shared by every position, the single-block limit:
+    the Geometric process."""
+    return SpeciesDriven(IdenticalDegenerate(), a, b)
 
 
 def dsb(beta: float, theta: float) -> SpeciesDriven:
@@ -167,9 +141,10 @@ def sb_inverse(w) -> np.ndarray:
     """Length variables from a valid weights prefix: v_k = w_k / (1 - sum_{j<k} w_j),
     and 0 once the stick is exhausted."""
     w = np.asarray(w, dtype=float)
-    if w.size and w.min() < 0:
+    # written so that NaN fails the tests too
+    if w.size and not (w.min() >= 0):
         raise ValueError("weights must be non-negative")
-    if w.sum() > 1.0 + 1e-12:
+    if not (w.sum() <= 1.0 + 1e-12):
         raise ValueError("weights sum exceeds 1")
     v = np.zeros_like(w)
     residual = 1.0
@@ -184,7 +159,7 @@ def sb_inverse(w) -> np.ndarray:
     return v
 
 
-def sample_lengths_prefix(spec, m: int, rng: np.random.Generator) -> LengthPrefix:
+def sample_lengths_prefix(spec: SpeciesDriven, m: int, rng: np.random.Generator) -> LengthPrefix:
     """m exchangeable lengths via the sequential prediction rule, with the
     tie structure recorded."""
     if m < 1:
@@ -194,10 +169,11 @@ def sample_lengths_prefix(spec, m: int, rng: np.random.Generator) -> LengthPrefi
     return prefix
 
 
-def _extend(prefix: LengthPrefix, spec, m_new: int, rng: np.random.Generator) -> None:
+def _extend(prefix: LengthPrefix, spec: SpeciesDriven, m_new: int,
+            rng: np.random.Generator) -> None:
     """Append m_new positions to prefix under spec's conditional prediction rule."""
-    model = spec.eppf_model()
-    a, b = spec.base()
+    model = spec.eppf
+    a, b = spec.base_a, spec.base_b
     if isinstance(model, IidDegenerate):
         draws = rng.beta(a, b, size=m_new)
         for x in draws:
@@ -228,13 +204,14 @@ def _extend(prefix: LengthPrefix, spec, m_new: int, rng: np.random.Generator) ->
         prefix.append(chosen)
 
 
-def sample_length_pairs(spec, size: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+def sample_length_pairs(spec: SpeciesDriven, size: int,
+                        rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized draws of (v1, v2): v1 from the Beta marginal, v2 = v1 with
     probability equal to the model's tie probability, otherwise an
     independent Beta draw.  This is the two-step prediction rule in closed
     form; the sequential sampler is the reference path it is tested against."""
-    a, b = spec.base()
-    rho = spec.eppf_model().tie_probability()
+    a, b = spec.base_a, spec.base_b
+    rho = spec.eppf.tie_probability()
     v1 = rng.beta(a, b, size=size)
     v2 = rng.beta(a, b, size=size)
     tie = rng.random(size) < rho
@@ -242,18 +219,20 @@ def sample_length_pairs(spec, size: int, rng: np.random.Generator) -> Tuple[np.n
     return v1, v2
 
 
-def _shared_needed(v: float, threshold: float) -> int:
-    # smallest m with 1 - (1-v)^m >= threshold
+def _shared_needed(v: float, threshold: float) -> float:
+    # smallest m with 1 - (1-v)^m >= threshold; inf when a subnormal v
+    # overflows the ratio, which no integer could hold
     if threshold <= 0.0:
         return 1
     if v >= 1.0:
         return 1
-    return max(1, math.ceil(math.log1p(-threshold) / math.log1p(-v)))
+    m = math.log1p(-threshold) / math.log1p(-v)
+    return max(1, math.ceil(m)) if m < math.inf else m
 
 
 def extend_weights_until(
     prefix: LengthPrefix,
-    spec,
+    spec: SpeciesDriven,
     threshold: float,
     rng: np.random.Generator,
 ) -> Tuple[LengthPrefix, np.ndarray]:
@@ -268,11 +247,9 @@ def extend_weights_until(
     if len(prefix) == 0:
         _extend(prefix, spec, 1, rng)
 
-    model = spec.eppf_model()
-    values = prefix.values
-    residual = float(np.prod(1.0 - values))
+    residual = float(np.prod(1.0 - prefix.values))
 
-    if isinstance(model, IdenticalDegenerate) and 1.0 - residual < threshold:
+    if isinstance(spec.eppf, IdenticalDegenerate) and 1.0 - residual < threshold:
         v = prefix.distinct[0]
         needed = _shared_needed(v, threshold)
         if needed > EXTENSION_CAP:

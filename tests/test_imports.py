@@ -1,17 +1,20 @@
 """Import hygiene: every module of the package reads each name it imports
 (the package's __init__.py is exempt, because its imports are its exports),
-and no module imports scipy.stats, whose import alone costs most of a CLI
-start-up."""
+no module imports scipy.stats, whose import alone costs most of a CLI
+start-up, and the benchmark's tracer still finds every attribute it patches."""
 
 import ast
+import importlib.util
 import os
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "esbmix"
+TRACER = PACKAGE.parents[1] / "bench" / "tracer.py"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -73,3 +76,34 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_benchmark_tracer_patches_and_restores_the_sweep_layers():
+    # the tracer replaces module and class attributes by name: a renamed or
+    # removed one is a KeyError in every traced benchmark run
+    from esbmix import analytics, mcmc
+
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    patched = [(owner, attr) for owner, attr, _ in tracer_module.SPANNED + tracer_module.COUNTED]
+    patched.append((analytics, "enumerate_partitions"))
+    originals = [owner.__dict__.get(attr) for owner, attr in patched]
+
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        data = np.random.default_rng(0).normal(size=20)
+        config = mcmc.FitConfig(prior=mcmc.RandomRho(theta=1.0), kernel=mcmc.default_kernel(data),
+                                iterations=3, burn_in=0, thin=1, seed=0)
+        mcmc.fit(data, config)
+    finally:
+        tracer.uninstall()
+
+    assert [owner.__dict__.get(attr) for owner, attr in patched] == originals
+    _, _, calls = tracer.layer_times()
+    assert calls["mcmc.gibbs_sweep"] == 3
+    for layer in ("update_slices", "ensure_truncation", "update_lengths", "update_allocations",
+                  "update_atoms", "update_rho", "complete_data_log_score"):
+        assert calls[f"mcmc.{layer}"] >= 3, layer
+    assert calls["sticks.sb_transform"] >= 3

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -22,6 +22,7 @@ from esbmix.mcmc import (
     complete_data_log_score,
     default_kernel,
     eap_density,
+    ensure_truncation,
     fit,
     gibbs_sweep,
     initial_state,
@@ -33,7 +34,15 @@ from esbmix.mcmc import (
     update_rho,
     update_slices,
 )
-from esbmix.sticks import LengthPrefix, SharedBeta, dsb, sb_transform
+from esbmix.sticks import (
+    ExtensionCapError,
+    IidBeta,
+    LengthPrefix,
+    SharedBeta,
+    SpeciesDriven,
+    dsb,
+    sb_transform,
+)
 
 
 def make_state(values, atom_index, u, d, atoms, rho=None):
@@ -333,7 +342,7 @@ def test_update_lengths_full_range_when_unconstrained():
     state.d = np.empty(0, dtype=np.int64)
     draws = []
     for _ in range(20_000):
-        update_lengths(state, Dirichlet(1.0), 1.0, theta, rng)
+        update_lengths(state, spec, rng)
         draws.append(state.lengths.values[0])
     assert stats.kstest(np.array(draws[100:]), stats.beta(1, theta).cdf).pvalue > 0.01
 
@@ -345,7 +354,7 @@ def test_update_lengths_identical_keeps_single_class():
     state.d = np.empty(0, dtype=np.int64)
     seen = set()
     for _ in range(200):
-        update_lengths(state, IdenticalDegenerate(), 1.0, 1.0, rng)
+        update_lengths(state, SharedBeta(1.0, 1.0), rng)
         state.lengths.validate()
         assert len(state.lengths.distinct) == 1
         seen.add(state.lengths.distinct[0])
@@ -357,7 +366,7 @@ def test_update_lengths_iid_only_new_draws():
     state = make_state([0.4, 0.6], [0, 1, 0], [], [], [])
     state.u = np.empty(0)
     state.d = np.empty(0, dtype=np.int64)
-    update_lengths(state, IidDegenerate(), 1.0, 1.0, rng)
+    update_lengths(state, IidBeta(1.0, 1.0), rng)
     state.lengths.validate()
     assert state.lengths.counts == [1, 1, 1]
 
@@ -373,7 +382,7 @@ def test_length_conditional_new_branch_closed_form():
     counts_minus = [2, 1, 3]
     for a_j, b_j in ((0.0, 1.0), (0.25, 0.9), (0.5, 0.6)):
         active, opt_w, _, _ = length_conditional_options(
-            Dirichlet(beta), 1.0, theta, distinct, counts_minus, a_j, b_j
+            dsb(beta, theta), distinct, counts_minus, a_j, b_j
         )
         mass = (1.0 - a_j) ** theta - (1.0 - b_j) ** theta
         admissible = sum(
@@ -397,7 +406,7 @@ def test_update_lengths_new_branch_frequency():
     state.d = np.empty(0, dtype=np.int64)
     vals = set()
     for _ in range(50):
-        update_lengths(state, Dirichlet(2.0), 1.0, 1.0, rng)
+        update_lengths(state, dsb(2.0, 1.0), rng)
         vals.add(state.lengths.distinct[0])
     assert len(vals) == 50
 
@@ -421,7 +430,7 @@ def test_update_lengths_skips_zero_weight_empty_stick():
     rng = np.random.default_rng(12)
     state = make_state([0.6, 5e-324, 0.5], [0, 1, 2], [0.3, 0.1], [0, 2], [None] * 3)
     assert state.weights[1] == 0.0
-    update_lengths(state, IidDegenerate(), 1.0, 1.0, rng)
+    update_lengths(state, IidBeta(1.0, 1.0), rng)
     assert state.infeasible_slices == 0
     assert state.lengths.values[0] != 0.6
     assert np.all(state.u < state.weights[state.d])
@@ -434,7 +443,7 @@ def test_update_lengths_new_value_stays_below_one():
     # feasible double and gives up, which is the one infeasible update counted
     v = 1.0 - 2.0 ** -53
     state = make_state([v], [0], [np.nextafter(v, 0.0)], [0], [None])
-    update_lengths(state, Dirichlet(1.0), 1.0, 0.5, np.random.default_rng(0))
+    update_lengths(state, dsb(1.0, 0.5), np.random.default_rng(0))
     state.lengths.validate()
     assert state.infeasible_slices == 1
     assert state.lengths.distinct == [v]
@@ -459,7 +468,7 @@ def test_update_lengths_no_free_double_is_infeasible():
     # double, so stick 0 keeps its value and the slice counts as infeasible;
     # the class refresh then gives up on stick 0's class, the second count
     state = make_state([0.5, 0.25], [0, 1, 0], [0.125 - 2.0 ** -55], [1], [None] * 3)
-    update_lengths(state, Dirichlet(1.0), 1.0, 1.0, FixedDraws())
+    update_lengths(state, dsb(1.0, 1.0), FixedDraws())
     assert state.infeasible_slices == 2
     assert state.lengths.values[0] == 0.5
     state.lengths.validate()
@@ -473,7 +482,7 @@ def test_class_refresh_give_up_keeps_value():
     # one ulp a step until the shrink budget runs out and the class gives up
     state = make_state([0.5], [0, 0, 0], [0.2], [1], [(0.0, 1.0)] * 3)
     weights = state.weights.copy()
-    update_lengths(state, IdenticalDegenerate(), 1.0, 1.0, FixedDraws())
+    update_lengths(state, SharedBeta(1.0, 1.0), FixedDraws())
     assert state.infeasible_slices == 1
     assert state.lengths.distinct == [0.5]
     assert np.array_equal(state.weights, weights)
@@ -515,12 +524,30 @@ def length_update_inputs(draw):
 
 
 @settings(max_examples=150, deadline=None)
+@given(length_update_inputs(), st.integers(1, 5))
+def test_ensure_truncation_keeps_state_valid(inputs, min_phi):
+    state, model, base_b, seed = inputs
+    # a slice drawn on a subnormal weight can round up to the weight itself,
+    # a state no sweep leaves behind
+    assume(np.all(state.u < state.weights[state.d]))
+    kernel = UnivariateNormalGamma(0.0, 0.01, 0.5, 0.5)
+    try:
+        ensure_truncation(state, SpeciesDriven(model, 1.0, base_b), kernel,
+                          np.random.default_rng(seed), min_phi)
+    except ExtensionCapError:
+        # a tiny shared length can need more sticks than the cap allows
+        reject()
+    state.validate()
+    assert state.phi >= min_phi
+
+
+@settings(max_examples=150, deadline=None)
 @given(length_update_inputs())
 def test_update_lengths_keeps_state_valid(inputs):
     # every invariant GibbsState.validate checks except truncation coverage,
     # which a length move may lose; the sweep restores it next
     state, model, base_b, seed = inputs
-    update_lengths(state, model, 1.0, base_b, np.random.default_rng(seed))
+    update_lengths(state, SpeciesDriven(model, 1.0, base_b), np.random.default_rng(seed))
     state.lengths.validate()
     assert state.phi == len(state.atoms)
     assert np.array_equal(state.weights, sb_transform(state.lengths.values))
@@ -605,15 +632,15 @@ def test_complete_data_log_score_hand_fixture():
     data = np.array([0.0])
     good = make_state([0.5], [0], [0.2], [0], [(0.0, 1.0)])
     bad = make_state([0.5], [0], [0.2], [0], [(4.0, 1.0)])
-    model = Dirichlet(1.0)
-    s_good = complete_data_log_score(good, data, kern, model, 1.0, 1.0)
-    s_bad = complete_data_log_score(bad, data, kern, model, 1.0, 1.0)
+    spec = dsb(1.0, 1.0)
+    s_good = complete_data_log_score(good, data, kern, spec)
+    s_bad = complete_data_log_score(bad, data, kern, spec)
     # likelihood differs by 0.5*tau*(16-0) = 8 and the atom prior term
     # N(m | mu0, (lam tau)^-1) by another 0.5*lam*tau*16 = 8
     assert s_good - s_bad == pytest.approx(16.0)
     # indicator violation scores -inf
     broken = make_state([0.5], [0], [0.7], [0], [(0.0, 1.0)])
-    assert complete_data_log_score(broken, data, kern, model, 1.0, 1.0) == -np.inf
+    assert complete_data_log_score(broken, data, kern, spec) == -np.inf
 
 
 def test_map_select_rules():
@@ -879,6 +906,15 @@ def test_fit_config_validation():
         fit(np.empty(0), FitConfig(prior=dsb(1, 1), kernel=kern, iterations=10, burn_in=2))
     with pytest.raises(ValueError):
         fit(np.zeros((5, 2)), FitConfig(prior=dsb(1, 1), kernel=kern, iterations=10, burn_in=2))
+    # values fit cannot use are refused at construction, not in the first sweep
+    with pytest.raises(TypeError, match="prior"):
+        FitConfig(prior=Dirichlet(1.0), kernel=kern, iterations=10, burn_in=2)
+    for name, bad in (("iterations", 10.5), ("burn_in", 2.0), ("thin", 1.5), ("thin", True),
+                      ("iterations", "10")):
+        kwargs = {"iterations": 10, "burn_in": 2, "thin": 1, name: bad}
+        with pytest.raises(TypeError, match=name):
+            FitConfig(prior=dsb(1, 1), kernel=kern, **kwargs)
+    FitConfig(prior=SharedBeta(1, 1), kernel=kern, iterations=np.int64(3), burn_in=0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
