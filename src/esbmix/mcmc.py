@@ -5,7 +5,10 @@ One sweep updates: slice variables, the truncation level (extending sticks
 and atoms as far as the slices require), length variables (with their tie
 structure), allocations, kernel atoms, and optionally the tie probability.
 The length conditionals read the slices only through the per-stick maxima
-U_max[l] = max{u_k : d_k = l}, so they cost O(phi) per stick, not O(n).
+U_max[l] = max{u_k : d_k = l}, so they cost O(phi) per stick, not O(n).  The
+length step runs on Python floats: after the O(n) pass for the maxima, a call
+costs O(phi^2) scalar operations for the per-position conditionals plus at
+most O(phi) per tie-class refresh trial, with no array built per move.
 Posterior summaries (EAP density, MAP sweep, clusters, K_n) are computed
 from retained sweeps.
 """
@@ -571,9 +574,14 @@ def update_allocations(state: GibbsState, data, kernel: MixtureKernel, rng) -> G
     return state
 
 
+def _beta_log_kernel(x, a, b):
+    """log Be(x | a, b) + log B(a, b)."""
+    return xlog1py(b - 1.0, -x) + xlogy(a - 1.0, x)
+
+
 def _beta_logpdf(x, a, b):
     """log Be(x | a, b), the expression scipy.stats.beta evaluates."""
-    return xlog1py(b - 1.0, -x) + xlogy(a - 1.0, x) - betaln(a, b)
+    return _beta_log_kernel(x, a, b) - betaln(a, b)
 
 
 def _slice_maxima(state: GibbsState) -> np.ndarray:
@@ -583,6 +591,12 @@ def _slice_maxima(state: GibbsState) -> np.ndarray:
     umax = np.zeros(state.phi)
     np.maximum.at(umax, state.d, state.u)
     return umax
+
+
+def _ratio(num, den):
+    """num / den for num > 0, inf when den has underflowed to 0 (as numpy
+    divides; Python floats would raise)."""
+    return num / den if den > 0.0 else math.inf
 
 
 def length_conditional_options(spec: SpeciesDriven, distinct, counts_minus, a_j, b_j):
@@ -605,97 +619,100 @@ def length_conditional_options(spec: SpeciesDriven, distinct, counts_minus, a_j,
     return active, opt_w, cdf_a, cdf_b
 
 
+def _resample_position(prefix: LengthPrefix, j, a_j, b_j, spec: SpeciesDriven, rng) -> bool:
+    """Draw position j of the prefix from its full conditional on (a_j, b_j),
+    in place.  False, with the prefix as it was, when the conditional is
+    numerically empty or no free double is left in the interval."""
+    distinct, counts = prefix.distinct, prefix.counts
+    slot_j = prefix.atom_index[j]
+    counts[slot_j] -= 1
+    active, opt_w, cdf_a, cdf_b = length_conditional_options(spec, distinct, counts, a_j, b_j)
+    total = sum(opt_w)
+    if total <= 0.0:
+        counts[slot_j] += 1
+        return False
+
+    pick = rng.random() * total
+    acc = 0.0
+    choice = len(opt_w) - 1
+    for i, wgt in enumerate(opt_w):
+        acc += wgt
+        if pick < acc:
+            choice = i
+            break
+
+    if choice < len(active):
+        new_slot = active[choice]
+    else:
+        q = cdf_a + rng.random() * (cdf_b - cdf_a)
+        new_val = float(betaincinv(spec.base_a, spec.base_b, q))
+        hi = math.nextafter(b_j, 0.0)
+        new_val = min(max(new_val, math.nextafter(a_j, 1.0), 1e-300), hi)
+        # emptied slots are dropped at the end, so only live values collide
+        taken = {x for x, c in zip(distinct, counts) if c > 0}
+        while new_val in taken and new_val < hi:
+            new_val = math.nextafter(new_val, 1.0)
+        if new_val in taken:
+            counts[slot_j] += 1
+            return False
+        new_slot = len(distinct)
+        distinct.append(new_val)
+        counts.append(0)
+    counts[new_slot] += 1
+    prefix.atom_index[j] = new_slot
+    return True
+
+
 def update_lengths(state: GibbsState, spec: SpeciesDriven, rng: np.random.Generator) -> GibbsState:
     """Resample each length variable from its full conditional: a mixture of
     point masses at the other sticks' distinct values and a truncated Beta,
-    restricted to the interval the slice indicators leave open."""
+    restricted to the interval the slice indicators leave open; then refresh
+    each tie class's value (`_refresh_distinct_values`).
+
+    The step runs on Python floats: the slice maxima, lengths and weights
+    are read into lists once, and a move at position j recomputes the
+    weights from j on only."""
     prefix = state.lengths
     phi = len(prefix)
-    v = prefix.values
-    weights = state.weights.copy()
-    umax = _slice_maxima(state)
+    umax = _slice_maxima(state).tolist()
+    v = prefix.values.tolist()
+    w = state.weights.tolist()
 
-    if isinstance(spec.eppf, IdenticalDegenerate) and len(prefix.distinct) == 1:
-        # single shared value: per-position conditionals are point masses at
-        # the current value, so only the joint class refresh can move it
-        _refresh_distinct_values(state, umax, spec, rng)
-        return state
-
-    occupied = np.flatnonzero(umax)
-    atom_index = list(prefix.atom_index)
-    distinct = list(prefix.distinct)
-    counts = list(prefix.counts)
-
-    prefix_prod = 1.0  # prod_{i<j} (1 - v_i)
-    for j in range(phi):
-        # interval (a_j, b_j) keeping every slice indicator satisfied; empty
-        # sticks are left out, their weights may have underflowed to 0
-        a_j = float(umax[j]) / prefix_prod if umax[j] > 0.0 else 0.0
-        b_j = 1.0
-        later = occupied[occupied > j]
-        if len(later):
-            b_j = 1.0 - (1.0 - v[j]) * float(np.max(umax[later] / weights[later]))
-        if not np.nextafter(a_j, 1.0) < b_j:  # no double strictly inside
-            state.infeasible_slices += 1
-            prefix_prod *= 1.0 - v[j]
-            continue
-
-        slot_j = atom_index[j]
-        counts[slot_j] -= 1
-        active, opt_w, cdf_a, cdf_b = length_conditional_options(
-            spec, distinct, counts, a_j, b_j
-        )
-        total = sum(opt_w)
-        if total <= 0.0:
-            # numerically empty conditional; keep the current value
-            counts[slot_j] += 1
-            state.infeasible_slices += 1
-            prefix_prod *= 1.0 - v[j]
-            continue
-
-        pick = rng.random() * total
-        acc = 0.0
-        choice = len(opt_w) - 1
-        for i, wgt in enumerate(opt_w):
-            acc += wgt
-            if pick < acc:
-                choice = i
-                break
-
-        if choice < len(active):
-            new_slot = active[choice]
-            new_val = distinct[new_slot]
-        else:
-            q = cdf_a + rng.random() * (cdf_b - cdf_a)
-            new_val = float(betaincinv(spec.base_a, spec.base_b, q))
-            hi = np.nextafter(b_j, 0.0)
-            new_val = min(max(new_val, np.nextafter(a_j, 1.0), 1e-300), hi)
-            # emptied slots are dropped at the end, so only live values collide
-            taken = {x for x, c in zip(distinct, counts) if c > 0}
-            while new_val in taken and new_val < hi:
-                new_val = np.nextafter(new_val, 1.0)
-            if new_val in taken:  # no free double left in the interval
-                counts[slot_j] += 1
+    # a single shared value: the per-position conditionals are point masses
+    # at the current value, so only the joint class refresh can move it
+    if not (isinstance(spec.eppf, IdenticalDegenerate) and len(prefix.distinct) == 1):
+        work = prefix.copy()
+        later = [l for l in range(phi) if umax[l] > 0.0]  # occupied sticks after j
+        prefix_prod = 1.0  # prod_{i<j} (1 - v_i)
+        for j in range(phi):
+            if later and later[0] == j:
+                later = later[1:]
+            # interval (a_j, b_j) keeping every slice indicator satisfied;
+            # empty sticks are left out, their weights may have underflowed to 0
+            a_j = _ratio(umax[j], prefix_prod) if umax[j] > 0.0 else 0.0
+            b_j = 1.0
+            if later:
+                b_j = 1.0 - (1.0 - v[j]) * max([_ratio(umax[l], w[l]) for l in later])
+            if not (math.nextafter(a_j, 1.0) < b_j  # some double strictly inside
+                    and _resample_position(work, j, a_j, b_j, spec, rng)):
                 state.infeasible_slices += 1
-                prefix_prod *= 1.0 - v[j]
-                continue
-            new_slot = len(distinct)
-            distinct.append(new_val)
-            counts.append(0)
-        counts[new_slot] += 1
-        atom_index[j] = new_slot
-        v[j] = distinct[new_slot]
-        weights = sb_transform(v)
-        prefix_prod *= 1.0 - v[j]
+            elif work.distinct[work.atom_index[j]] != v[j]:
+                v[j] = work.distinct[work.atom_index[j]]
+                # sb_transform's sequential products from j on: the same bits
+                prod = prefix_prod
+                for l in range(j, phi):
+                    w[l] = v[l] * prod
+                    prod *= 1.0 - v[l]
+            prefix_prod *= 1.0 - v[j]
+        # drop emptied slots, renumbering in order of first appearance
+        state.lengths = _truncate_prefix(work, phi)
 
-    # drop emptied slots, renumbering in order of first appearance
-    state.lengths = _truncate_prefix(LengthPrefix(atom_index, distinct, counts), phi)
-    state.weights = sb_transform(state.lengths.values)
-    _refresh_distinct_values(state, umax, spec, rng)
+    _refresh_distinct_values(state, v, w, umax, spec, rng)
+    state.weights = np.array(w)
     return state
 
 
-def _refresh_distinct_values(state, umax, spec, rng):
+def _refresh_distinct_values(state, v, w, umax, spec, rng):
     """Resample each tie class's value from the base density restricted by
     the slice indicators, moving all positions of the class together.
 
@@ -704,26 +721,23 @@ def _refresh_distinct_values(state, umax, spec, rng):
     Without it a class can only change value by dissolving; in particular the
     single-block (Geometric) case would never move its shared length at all.
     A trial value is feasible when every occupied stick keeps U_max[l] < w_l.
-    A class whose bracket runs out of shrink steps, or collapses, keeps its
-    value, and the give-up counts in `infeasible_slices`.
+    Only the weights from the class's first position on change, so a trial
+    computes those and stops at the first slice it violates: O(phi) float
+    operations per shrink step.  The lengths `v` and weights `w` (lists) are
+    updated in place.  A class whose bracket runs out of shrink steps, or
+    collapses, keeps its value, and the give-up counts in
+    `infeasible_slices`.
     """
     prefix = state.lengths
-    occupied = np.flatnonzero(umax)
-    slice_max = umax[occupied]
-    v = prefix.values
-    for slot in range(len(prefix.distinct)):
-        positions = np.flatnonzero(np.asarray(prefix.atom_index) == slot)
-
-        def feasible(x):
-            trial = v.copy()
-            trial[positions] = x
-            w = sb_transform(trial)
-            if np.any(slice_max >= w[occupied]):
-                return None
-            return w
-
-        x0 = prefix.distinct[slot]
-        level = _beta_logpdf(x0, spec.base_a, spec.base_b) - rng.exponential()
+    a, b = spec.base_a, spec.base_b
+    log_beta = betaln(a, b)
+    for slot, x0 in enumerate(prefix.distinct):
+        start = prefix.atom_index.index(slot)
+        in_class = [s == slot for s in prefix.atom_index[start:]]
+        prod = 1.0  # prod_{i<start} (1 - v_i), which no trial changes
+        for x in v[:start]:
+            prod *= 1.0 - x
+        level = _beta_log_kernel(x0, a, b) - log_beta - rng.exponential()
         left, right = 0.0, 1.0
         for shrinks in range(1, REFRESH_SHRINKS + 1):
             x1 = left + rng.random() * (right - left)
@@ -731,12 +745,12 @@ def _refresh_distinct_values(state, umax, spec, rng):
             # may be infinite; a length must stay strictly inside
             if (0.0 < x1 < 1.0
                     and x1 not in prefix.distinct
-                    and _beta_logpdf(x1, spec.base_a, spec.base_b) > level):
-                w = feasible(x1)
-                if w is not None:
-                    prefix.distinct[slot] = float(x1)
-                    v[positions] = x1
-                    state.weights = w
+                    and _beta_log_kernel(x1, a, b) - log_beta > level):
+                trial = _class_trial(x1, in_class, v[start:], umax[start:], prod)
+                if trial is not None:
+                    prefix.distinct[slot] = x1
+                    v[start:] = [x1 if member else x for member, x in zip(in_class, v[start:])]
+                    w[start:] = trial
                     break
             if x1 < x0:
                 left = x1
@@ -745,6 +759,23 @@ def _refresh_distinct_values(state, umax, spec, rng):
             if shrinks == REFRESH_SHRINKS or right - left < 1e-300:
                 state.infeasible_slices += 1
                 break
+
+
+def _class_trial(x, in_class, values, slices, prod):
+    """Weights of the sticks holding `values`, the class members set to x,
+    after sticks that leave the residual prod, by sb_transform's sequential
+    products; None at the first occupied stick whose slice maximum they do
+    not exceed."""
+    out = []
+    for member, value, s in zip(in_class, values, slices):
+        if member:
+            value = x
+        weight = value * prod
+        if s >= weight and s > 0.0:
+            return None
+        out.append(weight)
+        prod *= 1.0 - value
+    return out
 
 
 def _rho_log_conditional(rho, m, k_distinct, lo, hi):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import betainc, betaincinv
 
 from esbmix.eppf import Dirichlet, IdenticalDegenerate, IidDegenerate, PitmanYor
 from esbmix.mcmc import (
@@ -12,12 +13,15 @@ from esbmix.mcmc import (
     FitConfig,
     FitResult,
     GibbsState,
+    REFRESH_SHRINKS,
     RandomRho,
     TraceRecord,
     UnivariateNormalGamma,
     _beta_logpdf,
     _rho_log_conditional,
+    _slice_maxima,
     _slice_sample_logit,
+    _truncate_prefix,
     cluster_assign,
     complete_data_log_score,
     default_kernel,
@@ -26,6 +30,7 @@ from esbmix.mcmc import (
     fit,
     gibbs_sweep,
     initial_state,
+    length_conditional_options,
     map_select,
     posterior_kn,
     update_allocations,
@@ -375,8 +380,6 @@ def test_length_conditional_new_branch_closed_form():
     # the truncated-Beta branch of one stick's conditional carries mass
     # q0 = beta [(1-a)^t - (1-b)^t] / (sum of admissible counts + the same),
     # the displayed closed form for a Be(1, theta) base
-    from esbmix.mcmc import length_conditional_options
-
     beta, theta = 2.0, 1.5
     distinct = [0.30, 0.55, 0.80]
     counts_minus = [2, 1, 3]
@@ -489,6 +492,27 @@ def test_class_refresh_give_up_keeps_value():
     state.validate()
 
 
+def test_geometric_class_refresh_follows_truncated_base():
+    # one Geometric class, SharedBeta(2, 3), on three sticks with one datum on
+    # stick 1 sliced at u: its weight x (1 - x) must exceed u, which bounds
+    # the shared length x on both sides, by the roots of x^2 - x + u, so the
+    # class refresh is a slice-sampling kernel for Be(2, 3) truncated there
+    u = 0.2
+    lo, hi = (1.0 - math.sqrt(1.0 - 4.0 * u)) / 2.0, (1.0 + math.sqrt(1.0 - 4.0 * u)) / 2.0
+    cdf_lo, cdf_hi = betainc(2.0, 3.0, lo), betainc(2.0, 3.0, hi)
+    state = make_state([0.5], [0, 0, 0], [u], [1], [(0.0, 1.0)] * 3)
+    rng = np.random.default_rng(2011)
+    draws = np.empty(40_000)
+    for i in range(len(draws)):
+        update_lengths(state, SharedBeta(2.0, 3.0), rng)
+        draws[i] = state.lengths.distinct[0]
+    assert state.infeasible_slices == 0
+    assert lo < draws.min() and draws.max() < hi
+    # lag-1 autocorrelation is about 0.12; every tenth draw is nearly independent
+    truncated_cdf = lambda x: (betainc(2.0, 3.0, x) - cdf_lo) / (cdf_hi - cdf_lo)
+    assert stats.kstest(draws[::10], truncated_cdf).pvalue > 0.01
+
+
 OPEN_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
 
 
@@ -517,7 +541,8 @@ def length_update_inputs(draw):
     n = draw(st.integers(0, 40)) if reachable else 0
     d = [draw(st.sampled_from(reachable)) for _ in range(n)]
     u = [draw(OPEN_UNIT) * weights[j] for j in d]
-    assume(all(x > 0.0 for x in u))
+    # a slice drawn on a subnormal weight can round to 0 or up to the weight
+    assume(all(0.0 < x < weights[j] for x, j in zip(u, d)))
     state = make_state(values, atom_index, u, d, [(0.0, 1.0)] * phi)
     base_b = draw(st.sampled_from([0.5, 1.0, 3.0]))
     return state, model, base_b, draw(st.integers(0, 2**32 - 1))
@@ -527,9 +552,6 @@ def length_update_inputs(draw):
 @given(length_update_inputs(), st.integers(1, 5))
 def test_ensure_truncation_keeps_state_valid(inputs, min_phi):
     state, model, base_b, seed = inputs
-    # a slice drawn on a subnormal weight can round up to the weight itself,
-    # a state no sweep leaves behind
-    assume(np.all(state.u < state.weights[state.d]))
     kernel = UnivariateNormalGamma(0.0, 0.01, 0.5, 0.5)
     try:
         ensure_truncation(state, SpeciesDriven(model, 1.0, base_b), kernel,
@@ -552,6 +574,146 @@ def test_update_lengths_keeps_state_valid(inputs):
     assert state.phi == len(state.atoms)
     assert np.array_equal(state.weights, sb_transform(state.lengths.values))
     assert np.all(state.u < state.weights[state.d])
+
+
+def _array_update_lengths(state, spec, rng):
+    """Reference for update_lengths: the array form, which rebuilds the whole
+    weight vector with sb_transform after every move and every class-refresh
+    trial."""
+    prefix = state.lengths
+    phi = len(prefix)
+    v = prefix.values
+    weights = state.weights.copy()
+    umax = _slice_maxima(state)
+
+    if isinstance(spec.eppf, IdenticalDegenerate) and len(prefix.distinct) == 1:
+        _array_refresh_distinct_values(state, umax, spec, rng)
+        return state
+
+    occupied = np.flatnonzero(umax)
+    atom_index = list(prefix.atom_index)
+    distinct = list(prefix.distinct)
+    counts = list(prefix.counts)
+
+    prefix_prod = 1.0
+    for j in range(phi):
+        a_j = float(umax[j]) / prefix_prod if umax[j] > 0.0 else 0.0
+        b_j = 1.0
+        later = occupied[occupied > j]
+        if len(later):
+            b_j = 1.0 - (1.0 - v[j]) * float(np.max(umax[later] / weights[later]))
+        if not np.nextafter(a_j, 1.0) < b_j:
+            state.infeasible_slices += 1
+            prefix_prod *= 1.0 - v[j]
+            continue
+
+        slot_j = atom_index[j]
+        counts[slot_j] -= 1
+        active, opt_w, cdf_a, cdf_b = length_conditional_options(
+            spec, distinct, counts, a_j, b_j
+        )
+        total = sum(opt_w)
+        if total <= 0.0:
+            counts[slot_j] += 1
+            state.infeasible_slices += 1
+            prefix_prod *= 1.0 - v[j]
+            continue
+
+        pick = rng.random() * total
+        acc = 0.0
+        choice = len(opt_w) - 1
+        for i, wgt in enumerate(opt_w):
+            acc += wgt
+            if pick < acc:
+                choice = i
+                break
+
+        if choice < len(active):
+            new_slot = active[choice]
+        else:
+            q = cdf_a + rng.random() * (cdf_b - cdf_a)
+            new_val = float(betaincinv(spec.base_a, spec.base_b, q))
+            hi = np.nextafter(b_j, 0.0)
+            new_val = min(max(new_val, np.nextafter(a_j, 1.0), 1e-300), hi)
+            taken = {x for x, c in zip(distinct, counts) if c > 0}
+            while new_val in taken and new_val < hi:
+                new_val = np.nextafter(new_val, 1.0)
+            if new_val in taken:
+                counts[slot_j] += 1
+                state.infeasible_slices += 1
+                prefix_prod *= 1.0 - v[j]
+                continue
+            new_slot = len(distinct)
+            distinct.append(new_val)
+            counts.append(0)
+        counts[new_slot] += 1
+        atom_index[j] = new_slot
+        v[j] = distinct[new_slot]
+        weights = sb_transform(v)
+        prefix_prod *= 1.0 - v[j]
+
+    state.lengths = _truncate_prefix(LengthPrefix(atom_index, distinct, counts), phi)
+    state.weights = sb_transform(state.lengths.values)
+    _array_refresh_distinct_values(state, umax, spec, rng)
+    return state
+
+
+def _array_refresh_distinct_values(state, umax, spec, rng):
+    prefix = state.lengths
+    occupied = np.flatnonzero(umax)
+    slice_max = umax[occupied]
+    v = prefix.values
+    for slot in range(len(prefix.distinct)):
+        positions = np.flatnonzero(np.asarray(prefix.atom_index) == slot)
+
+        def feasible(x):
+            trial = v.copy()
+            trial[positions] = x
+            w = sb_transform(trial)
+            if np.any(slice_max >= w[occupied]):
+                return None
+            return w
+
+        x0 = prefix.distinct[slot]
+        level = _beta_logpdf(x0, spec.base_a, spec.base_b) - rng.exponential()
+        left, right = 0.0, 1.0
+        for shrinks in range(1, REFRESH_SHRINKS + 1):
+            x1 = left + rng.random() * (right - left)
+            if (0.0 < x1 < 1.0
+                    and x1 not in prefix.distinct
+                    and _beta_logpdf(x1, spec.base_a, spec.base_b) > level):
+                w = feasible(x1)
+                if w is not None:
+                    prefix.distinct[slot] = float(x1)
+                    v[positions] = x1
+                    state.weights = w
+                    break
+            if x1 < x0:
+                left = x1
+            else:
+                right = x1
+            if shrinks == REFRESH_SHRINKS or right - left < 1e-300:
+                state.infeasible_slices += 1
+                break
+
+
+@settings(max_examples=200, deadline=None)
+@given(length_update_inputs(), st.sampled_from([0.5, 1.0, 2.0]))
+def test_update_lengths_matches_array_reference(inputs, base_a):
+    # base_a != 1 makes the xlogy term of the class refresh's density count
+    state, model, base_b, seed = inputs
+    spec = SpeciesDriven(model, base_a, base_b)
+    ref, ref_rng = state.snapshot(), np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    with np.errstate(divide="ignore"):  # the reference divides by underflowed weights
+        _array_update_lengths(ref, spec, ref_rng)
+    update_lengths(state, spec, rng)
+    assert state.lengths.atom_index == ref.lengths.atom_index
+    assert state.lengths.distinct == ref.lengths.distinct
+    assert state.lengths.counts == ref.lengths.counts
+    assert np.array_equal(state.weights, ref.weights)
+    assert state.infeasible_slices == ref.infeasible_slices
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_rho_conditional_reductions():
