@@ -106,7 +106,7 @@ def parse_prior(obj, where="prior", allow_random_rho=False):
     """Prior spec object -> (spec-or-RandomRho, label)."""
     _require_keys(
         obj,
-        allowed={"family", "theta", "beta", "rho", "alpha", "base", "label", "rho_bounds"},
+        allowed={"family", "theta", "beta", "rho", "alpha", "base", "label"},
         required={"family"},
         where=where,
     )
@@ -129,12 +129,7 @@ def parse_prior(obj, where="prior", allow_random_rho=False):
             raise ConfigError(f"{where}: random-rho is only valid for fit")
         if theta is None:
             raise ConfigError(f"{where}: random-rho needs theta")
-        lo, hi = 0.0, 1.0
-        if "rho_bounds" in obj:
-            lo, hi = _pair(obj["rho_bounds"], f"{where}.rho_bounds")
-            if not (0 <= lo < hi <= 1):
-                raise ConfigError(f"{where}.rho_bounds: expected [lo, hi] in [0, 1]")
-        return mcmc.RandomRho(theta=theta, rho_lo=lo, rho_hi=hi), obj.get("label", "random-rho")
+        return mcmc.RandomRho(theta=theta), obj.get("label", "random-rho")
 
     if family == "dirichlet":
         spec = IidBeta(*base)
@@ -381,18 +376,15 @@ def cmd_fit(config, args, rng):
     if kernel.dim != dim:
         raise ConfigError(f"kernel dimension {kernel.dim} does not match data dimension {dim}")
     grid = _parse_grid(config, data, dim)
-    fit_config = _build(
-        "config",
-        mcmc.FitConfig,
-        prior=prior,
-        kernel=kernel,
-        iterations=_positive(config, "iterations", "config", int) if "iterations" in config else 10_000,
-        burn_in=_non_negative(config, "burn_in", "config", int) if "burn_in" in config else 2_000,
-        thin=_positive(config, "thin", "config", int) if "thin" in config else 4,
-        seed=args.seed,
-    )
+    # the keys the config leaves out take FitConfig's defaults
+    schedule = {key: read(config, key, "config", int)
+                for key, read in (("iterations", _positive), ("burn_in", _non_negative),
+                                  ("thin", _positive))
+                if key in config}
+    fit_config = _build("config", mcmc.FitConfig, prior=prior, kernel=kernel, seed=args.seed,
+                        **schedule)
     log.info("fit: n=%d dim=%d prior=%s", len(data), dim, prior_label)
-    result = mcmc.fit(data, fit_config, rng=rng, check_invariants=args.check_invariants)
+    result = mcmc.fit(data, fit_config, check_invariants=args.check_invariants)
 
     eap = mcmc.eap_density(result.samples, kernel, grid)
     map_idx = mcmc.map_select(result.samples)
@@ -450,7 +442,7 @@ def cmd_fit(config, args, rng):
 # ---------------------------------------------------------------------------
 # verify
 
-def _verify_checks(rng, fault=None):
+def _verify_checks(rng):
     checks = []
 
     def record(name, passed, detail):
@@ -481,9 +473,6 @@ def _verify_checks(rng, fault=None):
     ok, detail = True, []
     for beta, theta in ((1.0, 1.0), (2.0, 0.5)):
         closed = analytics.ordering_probability_dsb(beta, theta)
-        if fault == "ordering-sign-flip":
-            f = numerics.gauss_2f1_11(theta + 2.0, 0.5)
-            closed = 1.0 + f * beta * theta / (2.0 * (beta + 1.0) * (theta + 1.0))
         est, se = analytics.ordering_probability_mc(sticks.dsb(beta, theta), 200_000, rng)
         ok = ok and abs(closed - est) < 3.0 * se
         detail.append(f"({beta},{theta}): |{closed:.5f}-{est:.5f}| vs 3se={3*se:.5f}")
@@ -538,11 +527,8 @@ def _verify_checks(rng, fault=None):
 
 
 def cmd_verify(config, args, rng):
-    _require_keys(config, {"inject_fault", "seed"}, set(), "config")
-    fault = config.get("inject_fault")
-    if fault is not None and fault != "ordering-sign-flip":
-        raise ConfigError(f"config.inject_fault: unknown fault {fault!r}")
-    checks = _verify_checks(rng, fault=fault)
+    _require_keys(config, {"seed"}, set(), "config")
+    checks = _verify_checks(rng)
     all_passed = all(c["passed"] for c in checks)
     report = {"schema": "esbmix-verify-report/1", "seed": args.seed,
               "all_passed": all_passed, "checks": checks}

@@ -60,9 +60,8 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 # shrink steps a tie-class refresh may take before it keeps the class's value
 REFRESH_SHRINKS = 60
-# step-out width and step limit, per side, of the slice sampler on logit(rho)
+# step-out width of the slice sampler on logit(rho)
 LOGIT_STEP_WIDTH = 2.0
-LOGIT_MAX_STEPS = 20
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +208,8 @@ class BivariateNormalInvWishart:
         A = [[sqrt(chi2_{nu-1}), 0], [N(0, 1), sqrt(chi2_nu)]]: the Bartlett
         recipe of scipy.stats.invwishart, drawing the same variates in the
         same order."""
-        p11, p21, p22 = float(psi[0][0]), float(psi[1][0]), float(psi[1][1])
-        for jitter in (0.0, 1e-8):
-            chol = _cholesky2(p11 + jitter, p21, p22 + jitter)
-            if chol is not None:
-                break
-        else:
+        chol = _cholesky2(float(psi[0][0]), float(psi[1][0]), float(psi[1][1]))
+        if chol is None:
             raise np.linalg.LinAlgError("posterior scale matrix is not positive definite")
         c11, c21, c22 = chol
         z = rng.normal()
@@ -335,14 +330,10 @@ class RandomRho:
     the tie probability rho, so beta = (1 - rho)/rho is resampled each sweep."""
 
     theta: float
-    rho_lo: float = 0.0
-    rho_hi: float = 1.0
 
     def __post_init__(self):
         if not (math.isfinite(self.theta) and self.theta > 0):
             raise ValueError("theta must be positive and finite")
-        if not (0.0 <= self.rho_lo < self.rho_hi <= 1.0):
-            raise ValueError("need 0 <= rho_lo < rho_hi <= 1")
 
 
 PriorSpec = Union[SpeciesDriven, RandomRho]
@@ -432,8 +423,7 @@ def initial_state(data: np.ndarray, config: FitConfig, rng: np.random.Generator)
     n = len(data)
     rho = None
     if isinstance(config.prior, RandomRho):
-        rho = rng.uniform(config.prior.rho_lo, config.prior.rho_hi)
-        rho = min(max(rho, 1e-12), 1.0 - 1e-12)
+        rho = min(max(rng.random(), 1e-12), 1.0 - 1e-12)
     lengths = sample_lengths_prefix(_resolve(config.prior, rho), 1, rng)
     weights = sb_transform(lengths.values)
     atoms = [config.kernel.sample_prior(rng)]
@@ -778,8 +768,8 @@ def _class_trial(x, in_class, values, slices, prod):
     return out
 
 
-def _rho_log_conditional(rho, m, k_distinct, lo, hi):
-    if not (lo < rho < hi) or not (0.0 < rho < 1.0):
+def _rho_log_conditional(rho, m, k_distinct):
+    if not 0.0 < rho < 1.0:
         return -np.inf
     lp = (k_distinct - 1) * math.log1p(-rho) + (m - k_distinct) * math.log(rho)
     if m >= 2:
@@ -788,17 +778,15 @@ def _rho_log_conditional(rho, m, k_distinct, lo, hi):
 
 
 def _slice_sample_logit(x0, log_f, rng):
+    """One slice-sampling move from x0 (Neal 2003): step out without a
+    limit, which ends because log_f falls to -inf at both ends, then shrink."""
     y = log_f(x0) - rng.exponential()
     left = x0 - LOGIT_STEP_WIDTH * rng.random()
     right = left + LOGIT_STEP_WIDTH
-    steps = LOGIT_MAX_STEPS
-    while steps > 0 and log_f(left) > y:
+    while log_f(left) > y:
         left -= LOGIT_STEP_WIDTH
-        steps -= 1
-    steps = LOGIT_MAX_STEPS
-    while steps > 0 and log_f(right) > y:
+    while log_f(right) > y:
         right += LOGIT_STEP_WIDTH
-        steps -= 1
     while True:
         x1 = left + rng.random() * (right - left)
         if log_f(x1) > y:
@@ -809,24 +797,25 @@ def _slice_sample_logit(x0, log_f, rng):
             right = x1
 
 
-def update_rho(state: GibbsState, prior: RandomRho, rng: np.random.Generator) -> GibbsState:
+def update_rho(state: GibbsState, rng: np.random.Generator) -> GibbsState:
     """Resample the tie probability from its full conditional given the tie
     pattern of the instantiated lengths, by slice sampling on the logit scale."""
     m = state.phi
     k_distinct = len(state.lengths.distinct)
 
     def log_f(x):
+        if x < -700.0:
+            # rho < 1e-304 and e^-x nears overflow: the support ends here, as
+            # it ends at x = 37 on the right, where rho rounds to 1.0
+            return -np.inf
         rho = 1.0 / (1.0 + math.exp(-x))
-        lp = _rho_log_conditional(rho, m, k_distinct, prior.rho_lo, prior.rho_hi)
+        lp = _rho_log_conditional(rho, m, k_distinct)
         if lp == -np.inf:
             return -np.inf
         return lp + math.log(rho) + math.log1p(-rho)  # logit Jacobian
 
     rho0 = min(max(state.rho, 1e-12), 1.0 - 1e-12)
     x0 = math.log(rho0 / (1.0 - rho0))
-    if log_f(x0) == -np.inf:
-        mid = 0.5 * (prior.rho_lo + prior.rho_hi)
-        x0 = math.log(mid / (1.0 - mid))
     x1 = _slice_sample_logit(x0, log_f, rng)
     state.rho = 1.0 / (1.0 + math.exp(-x1))
     return state
@@ -875,7 +864,7 @@ def gibbs_sweep(
     update_allocations(state, data, kernel, rng)
     update_atoms(state, data, kernel, rng)
     if isinstance(config.prior, RandomRho):
-        update_rho(state, config.prior, rng)
+        update_rho(state, rng)
         spec = _resolve(config.prior, state.rho)
     state.log_score = complete_data_log_score(state, data, kernel, spec)
     return state
@@ -967,11 +956,11 @@ class FitResult:
 def fit(
     data,
     config: FitConfig,
-    rng: Optional[np.random.Generator] = None,
     check_invariants: bool = False,
 ) -> FitResult:
-    """Run the sampler: burn-in then retained sweeps.  Every retained sweep
-    emits a trace record; every thin-th retained sweep is stored in full."""
+    """Run the sampler from default_rng(config.seed): burn-in then retained
+    sweeps.  Every retained sweep emits a trace record; every thin-th retained
+    sweep is stored in full."""
     data = np.asarray(data, dtype=float)
     expected_dim = config.kernel.dim
     if expected_dim == 1 and data.ndim != 1:
@@ -982,9 +971,7 @@ def fit(
         raise ValueError("empty dataset")
     if not np.all(np.isfinite(data)):
         raise ValueError("data contain NaN or infinite values")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-
+    rng = np.random.default_rng(config.seed)
     state = initial_state(data, config, rng)
     samples: List[GibbsState] = []
     trace: List[TraceRecord] = []

@@ -19,14 +19,14 @@ __all__ = [
 ]
 
 
-# every series and continued fraction stops once a term (or the change of a
-# convergent) drops below ABS_TOL, and gives up after MAX_TERMS terms
-ABS_TOL = 1e-12
+# every series stops once a term no longer changes the sum, and every
+# continued fraction once a convergent changes by less than one unit of the
+# last place; both give up after MAX_TERMS terms
 MAX_TERMS = 10_000
 
 
 class SeriesConvergenceError(RuntimeError):
-    """Raised when a series fails to reach ABS_TOL within MAX_TERMS terms."""
+    """Raised when a series fails to converge within MAX_TERMS terms."""
 
 
 def rising_factorial(x: float, m: int, step: float = 1.0) -> float:
@@ -77,9 +77,9 @@ def gauss_2f1_11(c: float, z: float) -> float:
     for n in range(MAX_TERMS):
         total += term
         term *= (n + 1) * z / (c + n)
-        if abs(term) < ABS_TOL:
+        if total + term == total:
             return total
-    raise SeriesConvergenceError(f"2F1 series did not reach {ABS_TOL} within {MAX_TERMS} terms")
+    raise SeriesConvergenceError(f"2F1 series did not converge within {MAX_TERMS} terms")
 
 
 _EULER_GAMMA = 0.5772156649015328606
@@ -92,9 +92,9 @@ def _e1_series(x: float) -> float:
     for k in range(1, MAX_TERMS):
         term *= x / k
         contrib = term / k if k % 2 == 1 else -term / k
-        total += contrib
-        if abs(contrib) < ABS_TOL:
+        if total + contrib == total:
             return total
+        total += contrib
     raise SeriesConvergenceError("E1 series did not converge")
 
 
@@ -115,7 +115,7 @@ def _e1_cf_scaled(x: float) -> float:
             c = tiny
         delta = c * d
         h *= delta
-        if abs(delta - 1.0) < ABS_TOL:
+        if abs(delta - 1.0) < 2.0 ** -52:
             return h
     raise SeriesConvergenceError("E1 continued fraction did not converge")
 

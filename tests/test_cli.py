@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from esbmix import analytics
 from esbmix.cli import ConfigError, build_parser, load_data_csv, main, parse_kernel, parse_prior
 from esbmix.mcmc import GibbsState, RandomRho, UnivariateNormalGamma
 from esbmix.sticks import IidBeta, SharedBeta, SpeciesDriven
@@ -98,8 +99,9 @@ def test_parse_prior_rejections():
     for alpha in (1.5, "x"):
         with pytest.raises(ConfigError, match="alpha"):
             parse_prior({"family": "pitman-yor", "alpha": alpha, "beta": 1.0, "theta": 1.0})
-    with pytest.raises(ConfigError, match="rho_bounds"):
-        parse_prior({"family": "random-rho", "theta": 1.0, "rho_bounds": ["a", 1]},
+    # the random-rho prior is uniform on (0, 1), with no bounds to set
+    with pytest.raises(ConfigError, match=r"unknown keys \['rho_bounds'\]"):
+        parse_prior({"family": "random-rho", "theta": 1.0, "rho_bounds": [0.2, 0.8]},
                     allow_random_rho=True)
 
 
@@ -394,10 +396,13 @@ def test_verify_subcommand(tmp_path):
     }
 
 
-def test_verify_fault_injection(tmp_path):
-    cfg = write_json(tmp_path / "c.json", {"inject_fault": "ordering-sign-flip"})
+def test_verify_fault_injection(tmp_path, monkeypatch):
+    # flip the sign of the correction term: P = 1 - c becomes 1 + c
+    closed_form = analytics.ordering_probability_dsb
+    monkeypatch.setattr(analytics, "ordering_probability_dsb",
+                        lambda beta, theta: 2.0 - closed_form(beta, theta))
     out = tmp_path / "out"
-    assert main(["verify", "--config", cfg, "--out", str(out), "--seed", "0"]) == 1
+    assert main(["verify", "--out", str(out), "--seed", "0"]) == 1
     report = json.loads((out / "verify_report.json").read_text())
     failed = [c["name"] for c in report["checks"] if not c["passed"]]
     assert failed == ["ordering-closed-vs-mc"]

@@ -1,7 +1,8 @@
 """Import hygiene: every module of the package reads each name it imports
 (the package's __init__.py is exempt, because its imports are its exports),
 no module imports scipy.stats, whose import alone costs most of a CLI
-start-up, and the benchmark's tracer still finds every attribute it patches."""
+start-up, the benchmark's tracer still finds every attribute it patches, and
+every demo compiles and imports only names the package has."""
 
 import ast
 import importlib.util
@@ -15,6 +16,7 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "esbmix"
 TRACER = PACKAGE.parents[1] / "bench" / "tracer.py"
+DEMOS = sorted((PACKAGE.parents[1] / "demos").glob("*.py"))
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -107,3 +109,27 @@ def test_benchmark_tracer_patches_and_restores_the_sweep_layers():
                   "update_atoms", "update_rho", "complete_data_log_score"):
         assert calls[f"mcmc.{layer}"] >= 3, layer
     assert calls["sticks.sb_transform"] >= 3
+
+
+def esbmix_imports(source):
+    """(module, name) for each name imported from the package or its modules."""
+    return [(node.module, alias.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "esbmix"
+            for alias in node.names]
+
+
+def test_esbmix_imports_finds_every_name():
+    source = ("import esbmix\nfrom numpy import nan\nfrom esbmix import fit, dsb as d\n"
+              "from esbmix.sticks import sb_transform\n")
+    assert esbmix_imports(source) == [("esbmix", "fit"), ("esbmix", "dsb"),
+                                      ("esbmix.sticks", "sb_transform")]
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_compiles_and_its_imports_exist(demo):
+    source = demo.read_text()
+    compile(source, str(demo), "exec")
+    imports = esbmix_imports(source)
+    assert imports
+    for module, name in imports:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"

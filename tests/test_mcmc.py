@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -726,10 +727,9 @@ def test_rho_conditional_reductions():
         state = make_state(values, atom_index, [], [], [], rho=0.5)
         state.u = np.empty(0)
         state.d = np.empty(0, dtype=np.int64)
-        prior = RandomRho(theta=1.0)
         draws = []
         for _ in range(20_000):
-            update_rho(state, prior, rng)
+            update_rho(state, rng)
             draws.append(state.rho)
         draws = np.array(draws[200:])
         se = draws.std(ddof=1) / math.sqrt(len(draws))
@@ -737,15 +737,22 @@ def test_rho_conditional_reductions():
         assert abs(draws.mean() - target) < 6 * se
 
 
-def test_rho_narrow_prior_confines_samples():
+def test_rho_step_out_from_the_extremes():
+    # the step-out has no cap. From rho = 1e-12 with every stick tied it walks
+    # about 33 widths right, past where a cap of 20 stopped; from 1 - 1e-12
+    # with every stick distinct it walks left to the end of the support at
+    # x = -700, where e^-x nears overflow
     rng = np.random.default_rng(13)
-    state = make_state([0.3, 0.6], [0, 1], [], [], [], rho=0.5)
-    state.u = np.empty(0)
-    state.d = np.empty(0, dtype=np.int64)
-    prior = RandomRho(theta=1.0, rho_lo=0.49, rho_hi=0.51)
-    for _ in range(500):
-        update_rho(state, prior, rng)
-        assert 0.49 < state.rho < 0.51
+    for k_distinct in (1, 50):
+        values = [0.3 + 0.01 * i for i in range(k_distinct)]
+        atom_index = [i % k_distinct for i in range(50)]
+        for rho in (1e-12, 1.0 - 1e-12):
+            state = make_state(values, atom_index, [], [], [], rho=rho)
+            assert (state.phi, len(state.lengths.distinct)) == (50, k_distinct)
+            started = time.perf_counter()
+            update_rho(state, rng)
+            assert time.perf_counter() - started < 1.0
+            assert 0.0 < state.rho < 1.0
 
 
 def test_rho_slice_kernel_matches_grid_oracle():
@@ -754,7 +761,7 @@ def test_rho_slice_kernel_matches_grid_oracle():
     rng = np.random.default_rng(14)
     m, k_distinct = 8, 3
     grid = np.linspace(0.5 / 2000, 1 - 0.5 / 2000, 2000)
-    logpdf = np.array([_rho_log_conditional(r, m, k_distinct, 0.0, 1.0) for r in grid])
+    logpdf = np.array([_rho_log_conditional(r, m, k_distinct) for r in grid])
     pdf = np.exp(logpdf - logpdf.max())
     pdf /= pdf.sum()
     bins = np.linspace(0, 1, 51)
@@ -762,7 +769,7 @@ def test_rho_slice_kernel_matches_grid_oracle():
 
     def log_f(x):
         rho = 1.0 / (1.0 + math.exp(-x))
-        lp = _rho_log_conditional(rho, m, k_distinct, 0.0, 1.0)
+        lp = _rho_log_conditional(rho, m, k_distinct)
         return lp + math.log(rho) + math.log1p(-rho)
 
     x = 0.0
@@ -987,13 +994,12 @@ def test_bivariate_draw_matches_scipy(kern):
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_bivariate_draw_jitters_a_singular_scale_and_refuses_an_indefinite_one():
+def test_bivariate_draw_refuses_a_singular_or_indefinite_scale():
     rng = np.random.default_rng(34)
-    m, sigma = BIVARIATE._draw(np.zeros(2), 1.0, np.ones((2, 2)), 3.0, rng)
-    assert np.all(np.isfinite(m)) and sigma[0, 0] > 0 and np.linalg.det(sigma) > 0
     state = rng.bit_generator.state
-    with pytest.raises(np.linalg.LinAlgError, match="scale matrix"):
-        BIVARIATE._draw(np.zeros(2), 1.0, np.array([[1.0, 2.0], [2.0, 1.0]]), 3.0, rng)
+    for psi in (np.ones((2, 2)), np.array([[1.0, 2.0], [2.0, 1.0]])):
+        with pytest.raises(np.linalg.LinAlgError, match="scale matrix"):
+            BIVARIATE._draw(np.zeros(2), 1.0, psi, 3.0, rng)
     assert rng.bit_generator.state == state  # refused before any draw
 
 
@@ -1063,7 +1069,7 @@ def test_fit_config_validation():
     with pytest.raises(ValueError):
         FitConfig(prior=dsb(1, 1), kernel=kern, iterations=10, burn_in=2, thin=0)
     with pytest.raises(ValueError):
-        RandomRho(theta=1.0, rho_lo=0.7, rho_hi=0.3)
+        RandomRho(theta=0.0)
     with pytest.raises(ValueError):
         fit(np.empty(0), FitConfig(prior=dsb(1, 1), kernel=kern, iterations=10, burn_in=2))
     with pytest.raises(ValueError):

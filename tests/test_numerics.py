@@ -51,6 +51,14 @@ def test_gauss_2f1_spot_value():
     assert gauss_2f1_11(3.0, 0.5) == pytest.approx(4.0 * (1.0 - math.log(2.0)), abs=1e-10)
 
 
+def test_series_and_continued_fraction_reach_machine_precision():
+    # closed forms: 2F1(1,1;3;1/2) = 4(1 - ln 2), 2F1(1,1;3/2;1/2) = pi/2;
+    # E1(1) to 20 digits from the reference tables
+    assert gauss_2f1_11(3.0, 0.5) == pytest.approx(4.0 * (1.0 - math.log(2.0)), rel=1e-14)
+    assert gauss_2f1_11(1.5, 0.5) == pytest.approx(math.pi / 2.0, rel=1e-14)
+    assert exp_integral_e1(1.0) == pytest.approx(0.21938393439552027368, rel=1e-14)
+
+
 def test_gauss_2f1_at_zero():
     assert gauss_2f1_11(1.7, 0.0) == 1.0
 
