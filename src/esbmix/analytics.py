@@ -18,7 +18,8 @@ from scipy.special import betainc, betaln, gammaln, logsumexp
 
 from .eppf import Dirichlet, EppfModel, IdenticalDegenerate, IidDegenerate, PitmanYor
 from .numerics import gauss_2f1_11, log_beta_moment, log_rising_factorial
-from .sticks import EXTENSION_CAP, LengthPrefix, _check_base_shapes, sample_length_pairs
+from .sticks import (EXTENSION_CAP, ExtensionCapError, LengthPrefix, _check_base_shapes,
+                     sample_length_pairs)
 
 __all__ = [
     "AllocationVector",
@@ -431,17 +432,20 @@ def _log_no_new(j, s, beta, alpha):
     )
 
 
-def _finish_row_scalar(u_sorted, order, d_row, ptr, cumw, j, classes, iid,
-                       beta, alpha, a, b, rng):
-    """Scalar continuation for one row the vectorized pass left uncovered;
-    draws come from pre-generated blocks so each stick costs O(#classes).
+def _finish_row_scalar(u_rest, cumw, j, classes, iid, beta, alpha, a, b, rng):
+    """Scalar continuation for one row the vectorized pass left uncovered:
+    given the row's uncovered slice points in ascending order, return their
+    allocations.  Draws come from pre-generated blocks so each stick costs
+    O(#classes).
 
     While a single class holds every draw (the near-Geometric regime where
     millions of identical sticks may be needed), whole stretches are handled
     in closed form: the first class-leaving time has an explicit gamma-ratio
     law and the covered slice points follow geometrically.
     """
-    n = len(u_sorted)
+    n = len(u_rest)
+    d = np.empty(n, dtype=np.int64)
+    ptr = 0
     total = float(sum(c for c, _ in classes))
     k_classes = len(classes)
     buf = 4096
@@ -464,16 +468,16 @@ def _finish_row_scalar(u_sorted, order, d_row, ptr, cumw, j, classes, iid,
             # copies needed to cover the last slice point
             s_cross = max(
                 1,
-                int(math.floor((math.log1p(-u_sorted[n - 1]) - log_resid) / log1mv)) + 1,
+                int(math.floor((math.log1p(-u_rest[n - 1]) - log_resid) / log1mv)) + 1,
             )
             target = math.log(max(rng.random(), 1e-300))
             if _log_no_new(total, s_cross, beta, alpha) >= target:
                 # no class-leaving draw before coverage: assign everything
                 while ptr < n:
-                    steps = (math.log1p(-u_sorted[ptr]) - log_resid) / log1mv
-                    d_row[order[ptr]] = j + max(1, int(math.floor(steps)) + 1)
+                    steps = (math.log1p(-u_rest[ptr]) - log_resid) / log1mv
+                    d[ptr] = j + max(1, int(math.floor(steps)) + 1)
                     ptr += 1
-                return d_row
+                return d
             lo, hi = 1, s_cross
             while lo < hi:
                 mid = (lo + hi) // 2
@@ -484,9 +488,9 @@ def _finish_row_scalar(u_sorted, order, d_row, ptr, cumw, j, classes, iid,
             copies = lo - 1  # the lo-th stretch draw opens a new class
             if copies > 0:
                 limit = log_resid + copies * log1mv
-                while ptr < n and math.log1p(-u_sorted[ptr]) > limit:
-                    steps = (math.log1p(-u_sorted[ptr]) - log_resid) / log1mv
-                    d_row[order[ptr]] = j + max(1, int(math.floor(steps)) + 1)
+                while ptr < n and math.log1p(-u_rest[ptr]) > limit:
+                    steps = (math.log1p(-u_rest[ptr]) - log_resid) / log1mv
+                    d[ptr] = j + max(1, int(math.floor(steps)) + 1)
                     ptr += 1
                 classes[0][0] += copies
                 total += copies
@@ -498,13 +502,13 @@ def _finish_row_scalar(u_sorted, order, d_row, ptr, cumw, j, classes, iid,
             total += 1.0
             cumw += (1.0 - cumw) * x
             j += 1
-            while ptr < n and u_sorted[ptr] < cumw:
-                d_row[order[ptr]] = j
+            while ptr < n and u_rest[ptr] < cumw:
+                d[ptr] = j
                 ptr += 1
             continue
 
         if j >= EXTENSION_CAP:
-            raise RuntimeError("row extension cap exceeded; configuration looks improper")
+            raise ExtensionCapError("row extension cap exceeded; configuration looks improper")
         if iid:
             x = fresh[pos]
         else:
@@ -528,23 +532,32 @@ def _finish_row_scalar(u_sorted, order, d_row, ptr, cumw, j, classes, iid,
         pos += 1
         cumw += (1.0 - cumw) * x
         j += 1
-        while ptr < n and u_sorted[ptr] < cumw:
-            d_row[order[ptr]] = j
+        while ptr < n and u_rest[ptr] < cumw:
+            d[ptr] = j
             ptr += 1
-    return d_row
+    return d
 
 
 def _alloc_chunk_shared(u, a, b, rng):
     B = u.shape[0]
     v = rng.beta(a, b, size=B)
     # d = smallest i with 1 - (1-v)^i > u, in closed form
-    L = np.log1p(-u) / np.log1p(-v)[:, None]
-    return np.floor(L).astype(np.int64) + 1
+    with np.errstate(all="ignore"):
+        L = np.floor(np.log1p(-u) / np.log1p(-v)[:, None])
+    # an index must fit in int64; written so that NaN (u = v = 0) fails too
+    bad = ~(L < 2.0**63).all(axis=1)
+    if bad.any():
+        raise ExtensionCapError(
+            f"shared length v = {v[bad][0]:.3g} sends a slice point past stick 2**63")
+    return L.astype(np.int64) + 1
 
 
 def _alloc_chunk_stream(u, spec, rng):
     """Generic chunk: grow sticks column by column for the rows whose slice
-    points are not yet all assigned, inverting partial sums on the fly."""
+    points are not yet all covered.  A slice point u lands on stick
+    d = 1 + #{j : C_j <= u}, C_j being the cumulative weight of the first j
+    sticks, so each column adds one comparison per point; a row is done once
+    C_j exceeds its largest point."""
     model = spec.eppf
     a, b = spec.base_a, spec.base_b
     B, n = u.shape
@@ -563,12 +576,13 @@ def _alloc_chunk_stream(u, spec, rng):
         slotvals = np.zeros((B, slots))
         K = np.zeros(B, dtype=np.int64)
 
-    order = np.argsort(u, axis=1)
-    u_sorted = np.take_along_axis(u, order, axis=1)
-    d = np.zeros((B, n), dtype=np.int64)
-    ptr = np.zeros(B, dtype=np.int64)
-    cumw = np.zeros(B)
+    d = np.empty((B, n), dtype=np.int64)
+    # the rows still open, kept in row order, which fixes the variates each
+    # row draws; passed + 1 <= _STREAM_COLUMNS + 1 fits the one-byte counter
     active = np.arange(B)
+    ua, umax = u, u.max(axis=1)
+    cumw = np.zeros(B)
+    passed = np.zeros((B, n), dtype=np.min_scalar_type(_STREAM_COLUMNS + 1))
     j = 0
     while active.size and j < _STREAM_COLUMNS:
         m = active.size
@@ -597,36 +611,35 @@ def _alloc_chunk_stream(u, spec, rng):
                 if alpha:
                     wmat = wmat - alpha * (wmat > 0)
                 cw = np.cumsum(wmat, axis=1)
+                # pick < cw[:, -1] and empty slots add exact zeros, so the
+                # slot lies below K
                 pick = rng.random(old_rows.size) * cw[:, -1]
                 slot = (cw <= pick[:, None]).sum(axis=1)
-                slot = np.minimum(slot, K[old_rows] - 1)
                 counts[old_rows, slot] += 1.0
                 vcol[~is_new] = slotvals[old_rows, slot]
-        cumw[active] += (1.0 - cumw[active]) * vcol
+        cumw += (1.0 - cumw) * vcol
         j += 1
-        # hand out the slice points the new column just covered
-        prog = active
-        while prog.size:
-            hit = u_sorted[prog, np.minimum(ptr[prog], n - 1)] < cumw[prog]
-            hit &= ptr[prog] < n
-            prog = prog[hit]
-            if not prog.size:
-                break
-            d[prog, order[prog, ptr[prog]]] = j
-            ptr[prog] += 1
-        active = active[ptr[active] < n]
+        passed += ua >= cumw[:, None]
+        keep = umax >= cumw
+        if not keep.all():
+            d[active[~keep]] = passed[~keep] + 1
+            active, ua, umax, cumw, passed = (
+                active[keep], ua[keep], umax[keep], cumw[keep], passed[keep])
 
-    for ridx in active:
+    for i, ridx in enumerate(active):
         if iid:
             classes = []
         else:
             kk = int(K[ridx])
             classes = [[float(c), float(x)]
                        for c, x in zip(counts[ridx, :kk], slotvals[ridx, :kk])]
-        d[ridx] = _finish_row_scalar(
-            u_sorted[ridx], order[ridx], d[ridx], int(ptr[ridx]), float(cumw[ridx]),
-            j, classes, iid, beta, alpha, a, b, rng,
-        )
+        # the uncovered points go to the scalar pass in ascending order
+        rest = ua[i] >= cumw[i]
+        u_rest = np.sort(ua[i, rest])
+        d_rest = _finish_row_scalar(u_rest, float(cumw[i]), j, classes, iid,
+                                    beta, alpha, a, b, rng)
+        d[ridx] = passed[i] + 1
+        d[ridx, rest] = d_rest[np.searchsorted(u_rest, ua[i, rest])]
     return d
 
 
@@ -634,7 +647,9 @@ def sample_allocations(spec, n: int, replicates: int, rng: np.random.Generator) 
     """Draw `replicates` independent allocation vectors (d_1..d_n), 1-based:
     per replicate, n iid uniform slice points are inverted through the
     cumulative stick weights, extending the sticks as far as the largest
-    slice point requires."""
+    slice point requires.  Raises ExtensionCapError when a slice point needs
+    more than EXTENSION_CAP sticks, or, under a shared length, lands past
+    stick 2**63."""
     if n < 1 or replicates < 1:
         raise ValueError("n and replicates must be >= 1")
     model = spec.eppf

@@ -601,8 +601,9 @@ def main(argv=None):
         rng = np.random.default_rng(args.seed)
         started = time.time()
         status, extra = args.handler(config, args, rng)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
-        # a bad or unreadable config or data file: one line, not a traceback
+    except (ConfigError, OSError, json.JSONDecodeError, sticks.ExtensionCapError) as exc:
+        # a bad or unreadable config or data file, or an improper prior: one
+        # line, not a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
     runtime = round(time.time() - started, 3)

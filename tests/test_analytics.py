@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -23,10 +24,19 @@ from esbmix.analytics import (
     truncated_pair_mass,
     tv_distance,
     weight_ordering_c,
+    _symmetric_residual_moment,
 )
 from esbmix.eppf import Dirichlet, IdenticalDegenerate, IidDegenerate, PitmanYor
 from esbmix.numerics import log_beta_moment
-from esbmix.sticks import IidBeta, LengthPrefix, SharedBeta, dsb, sample_lengths_prefix
+from esbmix.sticks import (
+    ExtensionCapError,
+    IidBeta,
+    LengthPrefix,
+    SharedBeta,
+    SpeciesDriven,
+    dsb,
+    sample_lengths_prefix,
+)
 
 
 def test_allocation_vector_stats():
@@ -391,6 +401,62 @@ def test_shared_allocation_closed_form_inversion():
         p = 1.0 / (j * (j + 1.0))
         freq = np.mean(d[:, 0] == j)
         assert abs(freq - p) < 4 * math.sqrt(p * (1 - p) / 50_000)
+
+
+def test_shared_allocation_refuses_an_index_past_int64():
+    # Be(0.01, 1) puts most of its mass below 1e-19, where a slice point lands
+    # past stick 2**63; such rows have K_3 = 3 and must not come back wrapped
+    with pytest.raises(ExtensionCapError, match="shared length"):
+        sample_allocations(SharedBeta(0.01, 1.0), 3, 20_000, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("spec", [
+    IidBeta(20.0, 2000.0),
+    SpeciesDriven(PitmanYor(0.5, 1.0), 20.0, 2000.0),
+    SpeciesDriven(Dirichlet(0.05), 20.0, 2000.0),  # the single-class closed form
+], ids=["iid", "pitman-yor", "dirichlet-0.05"])
+def test_scalar_continuation_matches_exact_residual_mass(spec):
+    # lengths near 0.01 leave about 8% of single draws uncovered after the
+    # 250 sticks of the vectorized pass; P[d_1 > J] = E[prod_{i<=J} (1 - v_i)]
+    reps = 20_000
+    d = sample_allocations(spec, 1, reps, np.random.default_rng(40))[:, 0]
+    for J in (250, 400):
+        p = _symmetric_residual_moment(spec.eppf, spec.base_a, spec.base_b, J, 1)
+        freq = np.mean(d > J)
+        assert abs(freq - p) < 4 * math.sqrt(p * (1 - p) / reps)
+
+
+@pytest.mark.parametrize("spec, n, reps, digest", [
+    # vectorized pass only
+    (IidBeta(1.0, 1.0), 20, 2000,
+     "6961859c27b8fe2e77277172825fa8dc7a3aeddaeae052ae882b9f1b8050a195"),
+    # iid scalar tail
+    (IidBeta(20.0, 2000.0), 2, 200,
+     "3a61145197013648efa2882d16cf75b9cf327250c20dd91f1a286befc428a1a2"),
+    # CRP scalar tail, with single-class stretches and class joins
+    (dsb(1 / 3, 1.0), 30, 3000,
+     "2bdd3dfb4e35b77320b039d8de3f7767869b709d5bf590000954286ff3b03642"),
+    # single-class closed form
+    (dsb(0.01, 1.0), 10, 3000,
+     "a04ecc8df271d0153515413f1815fdfcb541b5d143a3538ad2aa9b0ad5bdb49f"),
+    (SpeciesDriven(PitmanYor(0.5, 1.0), 1.0, 1.0), 20, 2000,
+     "ad34cbd23d6aeffa48bc634dd0d0b732b22435f91adcc0fe10b9ae6b8aec0b4c"),
+    (SharedBeta(1.0, 1.0), 10, 5000,
+     "8ec3f7420c7d4e6a8331a6764be0fa089dfe6a443c3011e23bc65a54836a90c8"),
+    # two chunks
+    (IidBeta(1.0, 1.0), 2, 50_001,
+     "31fa0009d2225092ed333741fc4f7d21e84dfcd35ba449d8269e93f518a7a440"),
+], ids=["iid", "iid-tail", "dsb-third", "dsb-0.01", "pitman-yor", "shared", "two-chunks"])
+def test_seeded_allocations_are_pinned(spec, n, reps, digest):
+    # Golden draws (numpy 2.4, scipy 1.17): SHA-256 over the allocations and
+    # the generator state after them.  A refactor of the simulator keeps every
+    # digest; a change meant to alter the draws updates them and says so in
+    # CHANGES.md.
+    rng = np.random.default_rng(50)
+    d = sample_allocations(spec, n, reps, rng)
+    h = hashlib.sha256(d.tobytes())
+    h.update(repr(rng.bit_generator.state).encode())
+    assert h.hexdigest() == digest
 
 
 def test_expected_kn_curve_basics():

@@ -197,6 +197,21 @@ def test_prior_kn_single_replicate(tmp_path):
     assert sorted(float(r[1]) for r in rows[1:])[-1] == 1.0
 
 
+@pytest.mark.parametrize("spec, reps, message", [
+    # Be(1, 1e7) lengths need millions of sticks per slice point
+    ({"family": "dirichlet", "base": [1, 1e7]}, 1, "row extension cap exceeded"),
+    # most Be(0.01, 1) shared lengths send a slice point past stick 2**63
+    ({"family": "geometric", "base": [0.01, 1]}, 20_000, "shared length"),
+], ids=["dirichlet", "geometric"])
+def test_prior_kn_improper_prior_exits_2(tmp_path, capsys, spec, reps, message):
+    cfg = write_json(tmp_path / "c.json", {"specs": [spec], "n": 3, "replicates": reps})
+    out = tmp_path / "out"
+    assert main(["prior-kn", "--config", cfg, "--out", str(out), "--seed", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not (out / "manifest.json").exists()
+
+
 def test_prior_ekn_subcommand(tmp_path):
     cfg = write_json(tmp_path / "c.json",
                      {"specs": [{"family": "dirichlet", "theta": 1.0}],
