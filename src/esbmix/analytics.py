@@ -447,7 +447,6 @@ def _finish_row_scalar(u_rest, cumw, j, classes, iid, beta, alpha, a, b, rng):
     d = np.empty(n, dtype=np.int64)
     ptr = 0
     total = float(sum(c for c, _ in classes))
-    k_classes = len(classes)
     buf = 4096
     us = rng.random(buf)
     fresh = rng.beta(a, b, size=buf)
@@ -458,7 +457,7 @@ def _finish_row_scalar(u_rest, cumw, j, classes, iid, beta, alpha, a, b, rng):
             fresh = rng.beta(a, b, size=buf)
             pos = 0
 
-        if not iid and k_classes == 1 and total > 0:
+        if not iid and len(classes) == 1 and total > 0:
             # single-class stretch in closed form: couple the first
             # class-leaving draw to one uniform via M = min{m : N(m) < U}
             # where N(m) = P[first m stretch draws all copy the class]
@@ -471,65 +470,56 @@ def _finish_row_scalar(u_rest, cumw, j, classes, iid, beta, alpha, a, b, rng):
                 int(math.floor((math.log1p(-u_rest[n - 1]) - log_resid) / log1mv)) + 1,
             )
             target = math.log(max(rng.random(), 1e-300))
-            if _log_no_new(total, s_cross, beta, alpha) >= target:
-                # no class-leaving draw before coverage: assign everything
-                while ptr < n:
-                    steps = (math.log1p(-u_rest[ptr]) - log_resid) / log1mv
-                    d[ptr] = j + max(1, int(math.floor(steps)) + 1)
-                    ptr += 1
+            # no class-leaving draw before coverage: the copies cover every point
+            covers = _log_no_new(total, s_cross, beta, alpha) >= target
+            copies = 0
+            if not covers:
+                lo, hi = 1, s_cross
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    if _log_no_new(total, mid, beta, alpha) < target:
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                copies = lo - 1  # the lo-th stretch draw opens a new class
+            limit = log_resid + copies * log1mv
+            while ptr < n and (covers or math.log1p(-u_rest[ptr]) > limit):
+                steps = (math.log1p(-u_rest[ptr]) - log_resid) / log1mv
+                d[ptr] = j + max(1, int(math.floor(steps)) + 1)
+                ptr += 1
+            if covers:
                 return d
-            lo, hi = 1, s_cross
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if _log_no_new(total, mid, beta, alpha) < target:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            copies = lo - 1  # the lo-th stretch draw opens a new class
             if copies > 0:
-                limit = log_resid + copies * log1mv
-                while ptr < n and math.log1p(-u_rest[ptr]) > limit:
-                    steps = (math.log1p(-u_rest[ptr]) - log_resid) / log1mv
-                    d[ptr] = j + max(1, int(math.floor(steps)) + 1)
-                    ptr += 1
                 classes[0][0] += copies
                 total += copies
                 j += copies
                 cumw = 1.0 - math.exp(limit)
             x = float(rng.beta(a, b))
             classes.append([1.0, x])
-            k_classes += 1
             total += 1.0
-            cumw += (1.0 - cumw) * x
-            j += 1
-            while ptr < n and u_rest[ptr] < cumw:
-                d[ptr] = j
-                ptr += 1
-            continue
-
-        if j >= EXTENSION_CAP:
-            raise ExtensionCapError("row extension cap exceeded; configuration looks improper")
-        if iid:
-            x = fresh[pos]
         else:
-            denom = beta + total
-            r = us[pos] * denom
-            thr = beta + k_classes * alpha
-            if r < thr:
+            if j >= EXTENSION_CAP:
+                raise ExtensionCapError("row extension cap exceeded; configuration looks improper")
+            if iid:
                 x = fresh[pos]
-                classes.append([1.0, x])
-                k_classes += 1
             else:
-                acc = thr
-                x = classes[-1][1]
-                for cls in classes:
-                    acc += cls[0] - alpha
-                    if r < acc:
-                        cls[0] += 1.0
-                        x = cls[1]
-                        break
-            total += 1.0
-        pos += 1
+                denom = beta + total
+                r = us[pos] * denom
+                thr = beta + len(classes) * alpha
+                if r < thr:
+                    x = fresh[pos]
+                    classes.append([1.0, x])
+                else:
+                    acc = thr
+                    x = classes[-1][1]
+                    for cls in classes:
+                        acc += cls[0] - alpha
+                        if r < acc:
+                            cls[0] += 1.0
+                            x = cls[1]
+                            break
+                total += 1.0
+            pos += 1
         cumw += (1.0 - cumw) * x
         j += 1
         while ptr < n and u_rest[ptr] < cumw:

@@ -23,7 +23,15 @@ from .sticks import IidBeta, SharedBeta, SpeciesDriven
 
 log = logging.getLogger("esbmix")
 
-FAMILIES = ("dirichlet", "geometric", "dsb", "pitman-yor", "random-rho")
+# the keys of each prior family besides family and label: exactly one of
+# theta or base, and for dsb exactly one of beta or rho
+FAMILIES = {
+    "dirichlet": {"theta", "base"},
+    "geometric": {"theta", "base"},
+    "dsb": {"theta", "base", "beta", "rho"},
+    "pitman-yor": {"theta", "base", "alpha", "beta"},
+    "random-rho": {"theta"},
+}
 
 
 class ConfigError(ValueError):
@@ -102,34 +110,38 @@ def _build(where, make, *args, **kwargs):
         raise ConfigError(f"{where}: {exc}") from None
 
 
+def _one_of(obj, keys, where):
+    """The one key of `keys` that obj holds."""
+    held = [k for k in keys if k in obj]
+    if len(held) != 1:
+        raise ConfigError(f"{where}: needs exactly one of {' or '.join(keys)}")
+    return held[0]
+
+
 def parse_prior(obj, where="prior", allow_random_rho=False):
-    """Prior spec object -> (spec-or-RandomRho, label)."""
-    _require_keys(
-        obj,
-        allowed={"family", "theta", "beta", "rho", "alpha", "base", "label"},
-        required={"family"},
-        where=where,
-    )
-    family = obj["family"]
-    if family not in FAMILIES:
-        raise ConfigError(f"{where}.family: must be one of {FAMILIES}")
-    base = None
-    if "base" in obj:
+    """Prior spec object -> (spec-or-RandomRho, label).  Each family takes
+    `family`, `label` and the keys FAMILIES lists, and no others."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object")
+    family = obj.get("family")
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise ConfigError(f"{where}.family: must be one of {tuple(FAMILIES)}")
+    _require_keys(obj, allowed={"family", "label"} | FAMILIES[family], required=(),
+                  where=where)
+
+    if family == "random-rho":
+        if "theta" not in obj:
+            raise ConfigError(f"{where}: random-rho needs theta")
+        if not allow_random_rho:
+            raise ConfigError(f"{where}: random-rho is only valid for fit")
+        return mcmc.RandomRho(theta=_positive(obj, "theta", where)), obj.get("label", "random-rho")
+
+    if _one_of(obj, ("theta", "base"), where) == "base":
         base = _pair(obj["base"], f"{where}.base")
         if min(base) <= 0:
             raise ConfigError(f"{where}.base: expected [a, b] with a, b > 0")
-    theta = _positive(obj, "theta", where) if "theta" in obj else None
-    if base is None:
-        if theta is None:
-            raise ConfigError(f"{where}: needs theta (or an explicit base)")
-        base = (1.0, theta)
-
-    if family == "random-rho":
-        if not allow_random_rho:
-            raise ConfigError(f"{where}: random-rho is only valid for fit")
-        if theta is None:
-            raise ConfigError(f"{where}: random-rho needs theta")
-        return mcmc.RandomRho(theta=theta), obj.get("label", "random-rho")
+    else:
+        base = (1.0, _positive(obj, "theta", where))
 
     if family == "dirichlet":
         spec = IidBeta(*base)
@@ -138,15 +150,13 @@ def parse_prior(obj, where="prior", allow_random_rho=False):
         spec = SharedBeta(*base)
         label = obj.get("label", f"geometric_t{base[1]:g}")
     elif family == "dsb":
-        if "rho" in obj:
+        if _one_of(obj, ("beta", "rho"), where) == "rho":
             rho = _positive(obj, "rho", where)
             if rho >= 1:
                 raise ConfigError(f"{where}.rho: must lie in (0, 1)")
             beta = (1.0 - rho) / rho
-        elif "beta" in obj:
-            beta = _positive(obj, "beta", where)
         else:
-            raise ConfigError(f"{where}: dsb needs beta or rho")
+            beta = _positive(obj, "beta", where)
         spec = SpeciesDriven(Dirichlet(beta), *base)
         label = obj.get("label", f"dsb_b{beta:g}_t{base[1]:g}")
     else:  # pitman-yor

@@ -39,7 +39,9 @@ class EppfModel:
         raise NotImplementedError
 
     def tie_probability(self) -> float:
-        raise NotImplementedError
+        """P[two draws tie]: the prediction-rule weight of the only block
+        after one draw."""
+        return float(self.prediction_weights([1])[0][0])
 
     def log_gibbs_factors(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
         """Gibbs-type factors of the EPPF on partitions of n items:
@@ -81,9 +83,6 @@ class Dirichlet(EppfModel):
         out += float(sum(gammaln(s) for s in sizes))  # (s-1)! = Gamma(s)
         return out
 
-    def tie_probability(self):
-        return 1.0 / (1.0 + self.beta)
-
     def log_gibbs_factors(self, n):
         # V(n, m) = beta^m / (beta)_n and W(s) = (s-1)!
         m = np.arange(1, n + 1)
@@ -121,9 +120,6 @@ class PitmanYor(EppfModel):
         out += float(sum(log_rising_factorial(1.0 - self.alpha, s - 1) for s in sizes))
         return out
 
-    def tie_probability(self):
-        return (1.0 - self.alpha) / (self.beta + 1.0)
-
     def log_gibbs_factors(self, n):
         # V(n, m) = prod_{i<m} (beta + i alpha) / (beta+1)_{n-1}, W(s) = (1-alpha)_{s-1}
         norm = log_rising_factorial(self.beta + 1.0, n - 1)
@@ -150,9 +146,6 @@ class IidDegenerate(EppfModel):
         _check_sizes(sizes)
         return 0.0 if all(s == 1 for s in sizes) else NEG_INF
 
-    def tie_probability(self):
-        return 0.0
-
     def log_gibbs_factors(self, n):
         # only singleton blocks have positive weight
         log_w = np.full(n, NEG_INF)
@@ -170,9 +163,6 @@ class IdenticalDegenerate(EppfModel):
     def log_eppf(self, sizes):
         _check_sizes(sizes)
         return 0.0 if len(sizes) == 1 else NEG_INF
-
-    def tie_probability(self):
-        return 1.0
 
     def log_gibbs_factors(self, n):
         # only the one-block partition has positive weight

@@ -58,8 +58,6 @@ __all__ = [
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-# shrink steps a tie-class refresh may take before it keeps the class's value
-REFRESH_SHRINKS = 60
 # step-out width of the slice sampler on logit(rho)
 LOGIT_STEP_WIDTH = 2.0
 
@@ -427,14 +425,9 @@ def initial_state(data: np.ndarray, config: FitConfig, rng: np.random.Generator)
     lengths = sample_lengths_prefix(_resolve(config.prior, rho), 1, rng)
     weights = sb_transform(lengths.values)
     atoms = [config.kernel.sample_prior(rng)]
-    d = np.zeros(n, dtype=np.int64)
-    if n:
-        r = rng.random(n)
-        r[r == 0.0] = 0.5
-        u = r * weights[0]
-    else:
-        u = np.empty(0)
-    return GibbsState(u=u, d=d, lengths=lengths, weights=weights, atoms=atoms, rho=rho)
+    state = GibbsState(u=np.zeros(n), d=np.zeros(n, dtype=np.int64), lengths=lengths,
+                       weights=weights, atoms=atoms, rho=rho)
+    return update_slices(state, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -697,12 +690,12 @@ def update_lengths(state: GibbsState, spec: SpeciesDriven, rng: np.random.Genera
         # drop emptied slots, renumbering in order of first appearance
         state.lengths = _truncate_prefix(work, phi)
 
-    _refresh_distinct_values(state, v, w, umax, spec, rng)
+    _refresh_distinct_values(state.lengths, v, w, umax, spec, rng)
     state.weights = np.array(w)
     return state
 
 
-def _refresh_distinct_values(state, v, w, umax, spec, rng):
+def _refresh_distinct_values(prefix, v, w, umax, spec, rng):
     """Resample each tie class's value from the base density restricted by
     the slice indicators, moving all positions of the class together.
 
@@ -713,12 +706,12 @@ def _refresh_distinct_values(state, v, w, umax, spec, rng):
     A trial value is feasible when every occupied stick keeps U_max[l] < w_l.
     Only the weights from the class's first position on change, so a trial
     computes those and stops at the first slice it violates: O(phi) float
-    operations per shrink step.  The lengths `v` and weights `w` (lists) are
-    updated in place.  A class whose bracket runs out of shrink steps, or
-    collapses, keeps its value, and the give-up counts in
-    `infeasible_slices`.
+    operations per shrink step.  The prefix's distinct values and the
+    lengths `v` and weights `w` (lists) are updated in place.  Shrinkage needs no step cap (Neal 2003): the bracket
+    always strictly holds the class's value x0, which lies in the slice, so
+    a draw of x0 itself ends the step, unchanged, once the bracket is a few
+    ulps wide.
     """
-    prefix = state.lengths
     a, b = spec.base_a, spec.base_b
     log_beta = betaln(a, b)
     for slot, x0 in enumerate(prefix.distinct):
@@ -729,8 +722,10 @@ def _refresh_distinct_values(state, v, w, umax, spec, rng):
             prod *= 1.0 - x
         level = _beta_log_kernel(x0, a, b) - log_beta - rng.exponential()
         left, right = 0.0, 1.0
-        for shrinks in range(1, REFRESH_SHRINKS + 1):
+        while True:
             x1 = left + rng.random() * (right - left)
+            if x1 == x0:
+                break
             # the draw can round onto an end of (0, 1), where the density
             # may be infinite; a length must stay strictly inside
             if (0.0 < x1 < 1.0
@@ -746,9 +741,6 @@ def _refresh_distinct_values(state, v, w, umax, spec, rng):
                 left = x1
             else:
                 right = x1
-            if shrinks == REFRESH_SHRINKS or right - left < 1e-300:
-                state.infeasible_slices += 1
-                break
 
 
 def _class_trial(x, in_class, values, slices, prod):

@@ -60,6 +60,7 @@ DSB = {"family": "dsb", "beta": 1.0, "theta": 1.0}
     ("alloc-prob", {"d_vectors": [[True, 2]], "model": DSB, "replicates": 100}),
     ("prior-kn", {"specs": 5, "n": 5}),
     ("prior-ekn", {"specs": 5, "n_max": 5}),
+    ("alloc-prob", {"d_vectors": [[1]], "model": {**DSB, "rho": 0.5}, "replicates": 100}),
 ])
 def test_bad_analytics_config_exits_2(tmp_path, capsys, subcommand, config):
     cfg = write_json(tmp_path / "c.json", config)
@@ -99,6 +100,16 @@ def test_parse_prior_rejections():
     for alpha in (1.5, "x"):
         with pytest.raises(ConfigError, match="alpha"):
             parse_prior({"family": "pitman-yor", "alpha": alpha, "beta": 1.0, "theta": 1.0})
+    # a key the family does not read, or a second key for one setting
+    for obj in ({"family": "random-rho", "theta": 1, "base": [2, 3]},
+                {"family": "dsb", "rho": 0.5, "beta": 3, "theta": 1},
+                {"family": "dirichlet", "theta": 5, "base": [1, 2]},
+                {"family": "dirichlet", "theta": 1, "alpha": 0.5},
+                {"family": "dirichlet", "theta": 1, "beta": 2},
+                {"family": "geometric", "theta": 1, "rho": 0.5},
+                {"family": "geometric", "base": [1, 2], "beta": 2}):
+        with pytest.raises(ConfigError):
+            parse_prior(obj, allow_random_rho=True)
     # the random-rho prior is uniform on (0, 1), with no bounds to set
     with pytest.raises(ConfigError, match=r"unknown keys \['rho_bounds'\]"):
         parse_prior({"family": "random-rho", "theta": 1.0, "rho_bounds": [0.2, 0.8]},

@@ -8,17 +8,18 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import betainc, betaincinv
 
+from esbmix.analytics import sample_kn
 from esbmix.eppf import Dirichlet, IdenticalDegenerate, IidDegenerate, PitmanYor
 from esbmix.mcmc import (
     BivariateNormalInvWishart,
     FitConfig,
     FitResult,
     GibbsState,
-    REFRESH_SHRINKS,
     RandomRho,
     TraceRecord,
     UnivariateNormalGamma,
     _beta_logpdf,
+    _resample_position,
     _rho_log_conditional,
     _slice_maxima,
     _slice_sample_logit,
@@ -444,53 +445,60 @@ def test_update_lengths_new_value_stays_below_one():
     # the only double in the stick's interval is its own value 1 - 2^-53,
     # whose slot the stick has just emptied: the new value takes it rather
     # than stepping on to 1.0; the class refresh that follows finds no other
-    # feasible double and gives up, which is the one infeasible update counted
+    # feasible double and shrinks its bracket until it draws that value
     v = 1.0 - 2.0 ** -53
     state = make_state([v], [0], [np.nextafter(v, 0.0)], [0], [None])
     update_lengths(state, dsb(1.0, 0.5), np.random.default_rng(0))
     state.lengths.validate()
-    assert state.infeasible_slices == 1
+    assert state.infeasible_slices == 0
     assert state.lengths.distinct == [v]
     assert np.all(state.u < state.weights[state.d])
     assert np.isfinite(_beta_logpdf(state.lengths.distinct[0], 1.0, 0.5))
 
 
-class FixedDraws:
-    """Generator stand-in whose scalar draws are the largest uniform and a
-    unit exponential."""
+class FirstDrawsLargest:
+    """Generator stand-in whose first `count` uniforms are the largest one;
+    every later draw comes from a seeded Generator."""
+
+    def __init__(self, count, seed=0):
+        self.count = count
+        self.rng = np.random.default_rng(seed)
 
     def random(self):
-        return ONE_BELOW_ONE
+        if self.count:
+            self.count -= 1
+            return ONE_BELOW_ONE
+        return self.rng.random()
 
     def exponential(self):
-        return 1.0
+        return self.rng.exponential()
+
+
+def no_free_double_state():
+    # stick 1's slice caps stick 0 below nextafter(0.5, 1), and 0.5 is still
+    # held by stick 2
+    return make_state([0.5, 0.25], [0, 1, 0], [0.125 - 2.0 ** -55], [1], [None] * 3)
+
+
+def test_resample_position_without_a_free_double_keeps_the_prefix():
+    # the largest uniform picks the new-value branch, whose draw, clamped to
+    # 0.5, finds no free double: the position keeps its value
+    prefix = no_free_double_state().lengths
+    before = prefix.copy()
+    assert not _resample_position(prefix, 0, 0.0, math.nextafter(0.5, 1.0),
+                                  dsb(1.0, 1.0), FirstDrawsLargest(2))
+    assert prefix == before
 
 
 def test_update_lengths_no_free_double_is_infeasible():
-    # stick 1's slice caps stick 0 below nextafter(0.5, 1), and 0.5 is still
-    # held by stick 2: the new-value draw, clamped to 0.5, finds no free
-    # double, so stick 0 keeps its value and the slice counts as infeasible;
-    # the class refresh then gives up on stick 0's class, the second count
-    state = make_state([0.5, 0.25], [0, 1, 0], [0.125 - 2.0 ** -55], [1], [None] * 3)
-    update_lengths(state, dsb(1.0, 1.0), FixedDraws())
-    assert state.infeasible_slices == 2
-    assert state.lengths.values[0] == 0.5
-    state.lengths.validate()
-    assert np.all(state.u < state.weights[state.d])
-
-
-def test_class_refresh_give_up_keeps_value():
-    # one Geometric class at 0.5 on three sticks, stick 1 sliced at 0.2:
-    # every trial sits just below the bracket's right end, where stick 1's
-    # weight x (1 - x) falls under its slice, so the bracket shrinks by about
-    # one ulp a step until the shrink budget runs out and the class gives up
-    state = make_state([0.5], [0, 0, 0], [0.2], [1], [(0.0, 1.0)] * 3)
-    weights = state.weights.copy()
-    update_lengths(state, SharedBeta(1.0, 1.0), FixedDraws())
+    # stick 0's two draws are the largest uniform, so it finds no free double
+    # and counts the one infeasible slice; the later moves are seeded
+    state = no_free_double_state()
+    update_lengths(state, dsb(1.0, 1.0), FirstDrawsLargest(2, 3))
     assert state.infeasible_slices == 1
-    assert state.lengths.distinct == [0.5]
-    assert np.array_equal(state.weights, weights)
-    state.validate()
+    state.lengths.validate()
+    assert np.array_equal(state.weights, sb_transform(state.lengths.values))
+    assert np.all(state.u < state.weights[state.d])
 
 
 def test_geometric_class_refresh_follows_truncated_base():
@@ -678,8 +686,10 @@ def _array_refresh_distinct_values(state, umax, spec, rng):
         x0 = prefix.distinct[slot]
         level = _beta_logpdf(x0, spec.base_a, spec.base_b) - rng.exponential()
         left, right = 0.0, 1.0
-        for shrinks in range(1, REFRESH_SHRINKS + 1):
+        while True:
             x1 = left + rng.random() * (right - left)
+            if x1 == x0:
+                break
             if (0.0 < x1 < 1.0
                     and x1 not in prefix.distinct
                     and _beta_logpdf(x1, spec.base_a, spec.base_b) > level):
@@ -693,9 +703,6 @@ def _array_refresh_distinct_values(state, umax, spec, rng):
                 left = x1
             else:
                 right = x1
-            if shrinks == REFRESH_SHRINKS or right - left < 1e-300:
-                state.infeasible_slices += 1
-                break
 
 
 @settings(max_examples=200, deadline=None)
@@ -1047,6 +1054,34 @@ def test_bivariate_kernel_geweke_getting_it_right():
     batch_means = np.array(chain).reshape(batches, -1, prior.shape[1]).mean(axis=1)
     se2 = batch_means.var(axis=0, ddof=1) / batches + prior.var(axis=0, ddof=1) / draws
     z = (batch_means.mean(axis=0) - prior.mean(axis=0)) / np.sqrt(se2)
+    assert np.all(np.abs(z) < 4.0), z
+
+
+@pytest.mark.parametrize("prior, mean_v", [(SharedBeta(2.0, 3.0), 0.4), (dsb(1.0, 1.0), 0.5)],
+                         ids=["shared-beta", "dsb"])
+def test_gibbs_sweep_geweke_getting_it_right(prior, mean_v):
+    # Geweke (2004): one sweep alternated with a fresh draw of the data given
+    # the allocations and atoms leaves the joint prior invariant, so K_3 and
+    # the first length must follow their prior laws.  Under SharedBeta the
+    # tie-class refresh alone moves the shared length.
+    kernel = UnivariateNormalGamma(0.0, 1.0, 2.0, 2.0)
+    config = FitConfig(prior=prior, kernel=kernel, iterations=1, burn_in=0)
+    rng = np.random.default_rng(1)
+    draws, batches = 5000, 50
+    state = initial_state(np.zeros(3), config, rng)
+    chain = np.empty((draws, 4))
+    for i in range(draws):
+        m, tau = np.array([state.atoms[j] for j in state.d]).T
+        gibbs_sweep(state, rng.normal(m, 1.0 / np.sqrt(tau)), config, rng)
+        chain[i, :3] = [state.kn() == k for k in (1, 2, 3)]
+        chain[i, 3] = state.lengths.values[0]
+    pmf = sample_kn(prior, 3, 400_000, np.random.default_rng(1)).pmf
+    target = np.array([pmf.get(k, 0.0) for k in (1, 2, 3)] + [mean_v])
+    # batch means give the chain's standard error; K_3's prior pmf adds its own
+    batch_means = chain.reshape(batches, -1, 4).mean(axis=1)
+    se2 = batch_means.var(axis=0, ddof=1) / batches
+    se2[:3] += target[:3] * (1.0 - target[:3]) / 400_000
+    z = (batch_means.mean(axis=0) - target) / np.sqrt(se2)
     assert np.all(np.abs(z) < 4.0), z
 
 
