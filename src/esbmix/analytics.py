@@ -9,7 +9,6 @@ d_i = j means the i-th draw landed on the j-th weight.
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterator, Tuple
 
@@ -370,7 +369,8 @@ def _symmetric_residual_moment(
     on the block of the first item gives
     B_{n,m} = sum_s C(n-1, s-1) x_s B_{n-s,m-1} with B_{0,0} = 1.  Every
     term is positive, so the recurrence runs in log space without
-    cancellation, at O(J^3) cost.
+    cancellation, at O(J^3) cost: each step shifts the rows with a positive
+    B_{n,m} by their largest term before summing.
     """
     log_v, log_w = model.log_gibbs_factors(J)
     log_x = log_w + np.array(
@@ -387,7 +387,14 @@ def _symmetric_residual_moment(
     log_b[0] = 0.0
     terms = []
     for m in range(J):
-        log_b = logsumexp(log_cx + log_b[rest], axis=1)  # log B_{n,m+1}
+        # log B_{n,m+1}: it needs n > m items, and a first block of
+        # s <= n - m leaves the m other blocks their items
+        vals = log_cx[m + 1:, :J - m] + log_b[rest[m + 1:, :J - m]]
+        shift = vals.max(axis=1)
+        rows = np.flatnonzero(shift > NEG_INF)
+        shift = shift[rows]
+        log_b = np.full(J + 1, NEG_INF)
+        log_b[m + 1 + rows] = shift + np.log(np.exp(vals[rows] - shift[:, None]).sum(axis=1))
         terms.append(log_v[m] + log_b[J])
     return float(np.exp(logsumexp(terms)))
 
@@ -546,8 +553,16 @@ def _alloc_chunk_stream(u, spec, rng):
     """Generic chunk: grow sticks column by column for the rows whose slice
     points are not yet all covered.  A slice point u lands on stick
     d = 1 + #{j : C_j <= u}, C_j being the cumulative weight of the first j
-    sticks, so each column adds one comparison per point; a row is done once
-    C_j exceeds its largest point."""
+    sticks; a row is done once C_j exceeds its largest point.
+
+    The open rows stay in place at positions [0, m) of `u` (which is
+    permuted, so the caller must own it) and of the counters: a finished
+    row's slot is filled with an open row from the tail.  A stick therefore
+    costs one comparison per point of each open row, and no column copies
+    the open rows; a column in which k rows finish moves at most k others.
+    `ids` maps positions to rows and `pos` rows to positions.  The variates
+    are drawn in ascending row order, so every row gets the draws it would
+    get if no row moved."""
     model = spec.eppf
     a, b = spec.base_a, spec.base_b
     B, n = u.shape
@@ -567,10 +582,12 @@ def _alloc_chunk_stream(u, spec, rng):
         K = np.zeros(B, dtype=np.int64)
 
     d = np.empty((B, n), dtype=np.int64)
-    # the rows still open, kept in row order, which fixes the variates each
-    # row draws; passed + 1 <= _STREAM_COLUMNS + 1 fits the one-byte counter
+    # the rows still open, in row order, which fixes the variates each row
+    # draws; at[i] is the position of row active[i].  passed + 1 <=
+    # _STREAM_COLUMNS + 1 fits the one-byte counter
     active = np.arange(B)
-    ua, umax = u, u.max(axis=1)
+    ids, pos, at = active.copy(), active.copy(), active.copy()
+    umax = u.max(axis=1)
     cumw = np.zeros(B)
     passed = np.zeros((B, n), dtype=np.min_scalar_type(_STREAM_COLUMNS + 1))
     j = 0
@@ -607,16 +624,29 @@ def _alloc_chunk_stream(u, spec, rng):
                 slot = (cw <= pick[:, None]).sum(axis=1)
                 counts[old_rows, slot] += 1.0
                 vcol[~is_new] = slotvals[old_rows, slot]
-        cumw += (1.0 - cumw) * vcol
+        vpos = np.empty(m)
+        vpos[at] = vcol
+        cw_open = cumw[:m]
+        cw_open += (1.0 - cw_open) * vpos
         j += 1
-        passed += ua >= cumw[:, None]
-        keep = umax >= cumw
-        if not keep.all():
-            d[active[~keep]] = passed[~keep] + 1
-            active, ua, umax, cumw, passed = (
-                active[keep], ua[keep], umax[keep], cumw[keep], passed[keep])
+        passed[:m] += u[:m] >= cw_open[:, None]
+        done = umax[:m] < cw_open
+        if done.any():
+            gone = np.flatnonzero(done)
+            d[ids[gone]] = passed[gone] + 1
+            active = active[~done[at]]
+            m = active.size
+            # open rows beyond the new end move into the finished rows' slots
+            holes = gone[gone < m]
+            movers = m + np.flatnonzero(~done[m:])
+            u[holes], passed[holes] = u[movers], passed[movers]
+            umax[holes], cumw[holes] = umax[movers], cumw[movers]
+            ids[holes] = ids[movers]
+            pos[ids[holes]] = holes
+            at = pos[active]
 
-    for i, ridx in enumerate(active):
+    for ridx in active:
+        i = pos[ridx]
         if iid:
             classes = []
         else:
@@ -624,12 +654,12 @@ def _alloc_chunk_stream(u, spec, rng):
             classes = [[float(c), float(x)]
                        for c, x in zip(counts[ridx, :kk], slotvals[ridx, :kk])]
         # the uncovered points go to the scalar pass in ascending order
-        rest = ua[i] >= cumw[i]
-        u_rest = np.sort(ua[i, rest])
+        rest = u[i] >= cumw[i]
+        u_rest = np.sort(u[i, rest])
         d_rest = _finish_row_scalar(u_rest, float(cumw[i]), j, classes, iid,
                                     beta, alpha, a, b, rng)
         d[ridx] = passed[i] + 1
-        d[ridx, rest] = d_rest[np.searchsorted(u_rest, ua[i, rest])]
+        d[ridx, rest] = d_rest[np.searchsorted(u_rest, u[i, rest])]
     return d
 
 
@@ -662,6 +692,9 @@ def kn_paths(spec, n_max: int, replicates: int, rng: np.random.Generator) -> np.
     the distinct allocations among the first i+1 draws of replicate r, so
     every row is monotone and prefix-consistent."""
     d = sample_allocations(spec, n_max, replicates, rng)
+    # ranked in the narrowest unsigned type that holds max d: numpy's stable
+    # sort is a radix sort for 8- and 16-bit integers
+    d = d.astype(np.min_scalar_type(d.max()))
     # a draw is new when it is the first of its value in the row: a stable
     # sort keeps equal values in draw order, so the first of each run counts
     order = np.argsort(d, axis=1, kind="stable")
@@ -676,8 +709,8 @@ def kn_paths(spec, n_max: int, replicates: int, rng: np.random.Generator) -> np.
 def sample_kn(spec, n: int, replicates: int, rng: np.random.Generator) -> KnSummary:
     """Empirical pmf of K_n under the prior, by slice-point inversion."""
     kn = kn_paths(spec, n, replicates, rng)[:, -1]
-    counts = Counter(int(k) for k in kn)
-    pmf = {k: c / replicates for k, c in sorted(counts.items())}
+    values, counts = np.unique(kn, return_counts=True)
+    pmf = {int(k): int(c) / replicates for k, c in zip(values, counts)}
     return KnSummary(n=n, pmf=pmf, replicates=replicates)
 
 

@@ -4,7 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
+from scipy.special import gammaln, logsumexp
 
 from esbmix.analytics import (
     AllocationVector,
@@ -24,6 +27,10 @@ from esbmix.analytics import (
     truncated_pair_mass,
     tv_distance,
     weight_ordering_c,
+    _STREAM_COLUMNS,
+    _alloc_chunk_stream,
+    _finish_row_scalar,
+    _grow,
     _symmetric_residual_moment,
 )
 from esbmix.eppf import Dirichlet, IdenticalDegenerate, IidDegenerate, PitmanYor
@@ -338,6 +345,40 @@ def test_truncated_pair_mass_matches_pairwise_sum():
                 )
 
 
+def _residual_moment_logsumexp(model, base_a, base_b, J, power):
+    """The partial-Bell recurrence of `_symmetric_residual_moment` summed
+    with scipy's logsumexp over every row and column, kept as its reference."""
+    log_v, log_w = model.log_gibbs_factors(J)
+    log_x = log_w + np.array(
+        [log_beta_moment(base_a, base_b, 0, power * s) for s in range(1, J + 1)]
+    )
+    n = np.arange(J + 1)[:, None]
+    s = np.arange(1, J + 1)
+    rest = np.maximum(n - s, 0)
+    log_cx = np.where(
+        s <= n, gammaln(np.maximum(n, 1)) - gammaln(s) - gammaln(rest + 1) + log_x, -np.inf
+    )
+    log_b = np.full(J + 1, -np.inf)
+    log_b[0] = 0.0
+    terms = []
+    for m in range(J):
+        log_b = logsumexp(log_cx + log_b[rest], axis=1)
+        terms.append(log_v[m] + log_b[J])
+    return float(np.exp(logsumexp(terms)))
+
+
+@pytest.mark.parametrize("model", [
+    Dirichlet(1.0), PitmanYor(0.5, 1.0), IidDegenerate(), IdenticalDegenerate(),
+], ids=["dirichlet", "pitman-yor", "iid", "identical"])
+def test_residual_moment_matches_logsumexp_reference(model):
+    for base_a, base_b in ((1.0, 1.0), (0.5, 2.0), (20.0, 2000.0)):
+        for J in (1, 5, 30, 120):
+            for power in (1, 2):
+                ref = _residual_moment_logsumexp(model, base_a, base_b, J, power)
+                got = _symmetric_residual_moment(model, base_a, base_b, J, power)
+                assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
 def test_truncated_pair_mass_rejects_bad_inputs():
     for J in (0, -3, 2.5, 2.0, True, "4"):
         with pytest.raises(ValueError, match="positive integer"):
@@ -368,6 +409,12 @@ def test_sample_kn_support_and_mass():
     summary = sample_kn(dsb(1.0, 1.0), 12, 5000, rng)
     assert sum(summary.pmf.values()) == pytest.approx(1.0, abs=1e-12)
     assert all(1 <= k <= 12 for k in summary.pmf)
+    assert all(type(k) is int and type(p) is float for k, p in summary.pmf.items())
+    assert list(summary.pmf) == sorted(summary.pmf)
+    # the pmf counts the K_n column of the same seeded paths
+    kn = kn_paths(dsb(1.0, 1.0), 12, 5000, np.random.default_rng(29))[:, -1]
+    assert summary.pmf == {k: float(np.sum(kn == k)) / 5000 for k in range(1, 13)
+                           if np.any(kn == k)}
 
 
 def test_sample_allocations_matches_sequential_reference():
@@ -424,6 +471,137 @@ def test_scalar_continuation_matches_exact_residual_mass(spec):
         p = _symmetric_residual_moment(spec.eppf, spec.base_a, spec.base_b, J, 1)
         freq = np.mean(d > J)
         assert abs(freq - p) < 4 * math.sqrt(p * (1 - p) / reps)
+
+
+def _alloc_chunk_stream_compacting(u, spec, rng):
+    """The stream chunk with the open rows compacted: every column in which a
+    row finishes copies the open rows' points and counters.  Kept as the
+    reference for `_alloc_chunk_stream`, which must give the same allocations
+    from the same variates."""
+    model = spec.eppf
+    a, b = spec.base_a, spec.base_b
+    B, n = u.shape
+    iid = isinstance(model, IidDegenerate)
+    beta = alpha = 0.0
+    if not iid:
+        beta = model.beta
+        alpha = model.alpha if isinstance(model, PitmanYor) else 0.0
+        slots = 8
+        counts = np.zeros((B, slots))
+        slotvals = np.zeros((B, slots))
+        K = np.zeros(B, dtype=np.int64)
+    d = np.empty((B, n), dtype=np.int64)
+    active = np.arange(B)
+    ua, umax = u, u.max(axis=1)
+    cumw = np.zeros(B)
+    passed = np.zeros((B, n), dtype=np.min_scalar_type(_STREAM_COLUMNS + 1))
+    j = 0
+    while active.size and j < _STREAM_COLUMNS:
+        m = active.size
+        if iid:
+            vcol = rng.beta(a, b, size=m)
+        else:
+            new_prob = (beta + K[active] * alpha) / (beta + j) if j > 0 else np.ones(m)
+            is_new = rng.random(m) < new_prob
+            vcol = np.empty(m)
+            new_rows = active[is_new]
+            if new_rows.size:
+                newvals = rng.beta(a, b, size=new_rows.size)
+                kn = K[new_rows]
+                if kn.max(initial=0) + 1 > slots:
+                    counts = _grow(counts, slots)
+                    slotvals = _grow(slotvals, slots)
+                    slots *= 2
+                counts[new_rows, kn] += 1.0
+                slotvals[new_rows, kn] = newvals
+                vcol[is_new] = newvals
+                K[new_rows] += 1
+            old_rows = active[~is_new]
+            if old_rows.size:
+                width = int(K[old_rows].max())
+                wmat = counts[old_rows, :width]
+                if alpha:
+                    wmat = wmat - alpha * (wmat > 0)
+                cw = np.cumsum(wmat, axis=1)
+                pick = rng.random(old_rows.size) * cw[:, -1]
+                slot = (cw <= pick[:, None]).sum(axis=1)
+                counts[old_rows, slot] += 1.0
+                vcol[~is_new] = slotvals[old_rows, slot]
+        cumw += (1.0 - cumw) * vcol
+        j += 1
+        passed += ua >= cumw[:, None]
+        keep = umax >= cumw
+        if not keep.all():
+            d[active[~keep]] = passed[~keep] + 1
+            active, ua, umax, cumw, passed = (
+                active[keep], ua[keep], umax[keep], cumw[keep], passed[keep])
+    for i, ridx in enumerate(active):
+        if iid:
+            classes = []
+        else:
+            kk = int(K[ridx])
+            classes = [[float(c), float(x)]
+                       for c, x in zip(counts[ridx, :kk], slotvals[ridx, :kk])]
+        rest = ua[i] >= cumw[i]
+        u_rest = np.sort(ua[i, rest])
+        d_rest = _finish_row_scalar(u_rest, float(cumw[i]), j, classes, iid,
+                                    beta, alpha, a, b, rng)
+        d[ridx] = passed[i] + 1
+        d[ridx, rest] = d_rest[np.searchsorted(u_rest, ua[i, rest])]
+    return d
+
+
+def _stream_and_reference(spec, B, n, seed, scale=1.0):
+    """Run the stream and its compacting reference on the same slice points
+    (scaled by `scale`) and generator seed; both must draw the same variates
+    and return the same allocations."""
+    u = np.random.default_rng(seed).random((B, n)) * scale
+    rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    d = _alloc_chunk_stream(u.copy(), spec, rng)
+    ref = _alloc_chunk_stream_compacting(u.copy(), spec, ref_rng)
+    assert np.array_equal(d, ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return d
+
+
+STREAM_LAWS = [
+    IidBeta(1.0, 1.0), IidBeta(20.0, 2000.0), dsb(1 / 3, 1.0), dsb(3.0, 1.0), dsb(0.01, 1.0),
+    SpeciesDriven(Dirichlet(0.05), 20.0, 2000.0),
+    SpeciesDriven(PitmanYor(0.5, 1.0), 1.0, 1.0), SpeciesDriven(PitmanYor(0.5, 1.0), 20.0, 2000.0),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(STREAM_LAWS), st.integers(1, 300), st.integers(1, 40),
+       st.integers(0, 2**32 - 2), st.sampled_from([1.0, 1e-6]))
+def test_stream_matches_compacting_reference(spec, B, n, seed, scale):
+    _stream_and_reference(spec, B, n, seed, scale)
+
+
+def test_stream_matches_reference_when_every_row_finishes_at_once():
+    # points below 1e-6 are all covered by the first stick
+    d = _stream_and_reference(IidBeta(1.0, 1.0), 300, 5, 3, scale=1e-6)
+    assert np.all(d == 1)
+
+
+@pytest.mark.parametrize("spec", [IidBeta(1.0, 1.0), dsb(1 / 3, 1.0)], ids=["iid", "dsb-third"])
+def test_stream_matches_reference_when_tail_rows_finish_together(spec):
+    # several rows finish in the first column, some of them among the last
+    # rows, whose slots a swap-remove fills from one another
+    B = 300
+    d = _stream_and_reference(spec, B, 1, 4)
+    first = np.flatnonzero(d.max(axis=1) == 1)
+    assert first.size >= 2 and first.max() >= B - first.size
+
+
+@pytest.mark.parametrize("spec", [
+    IidBeta(20.0, 2000.0), SpeciesDriven(PitmanYor(0.5, 1.0), 20.0, 2000.0),
+    SpeciesDriven(Dirichlet(0.05), 20.0, 2000.0),  # the single-class closed form
+], ids=["iid", "pitman-yor", "dirichlet-0.05"])
+def test_stream_matches_reference_through_the_scalar_tail(spec):
+    # an allocation past the last vectorized column comes from the scalar pass
+    d = _stream_and_reference(spec, 200, 3, 5)
+    assert d.max() > _STREAM_COLUMNS
 
 
 @pytest.mark.parametrize("spec, n, reps, digest", [
@@ -504,6 +682,37 @@ def test_kn_paths_memory_bounded_by_replicates_times_n():
     assert kn.shape == (R, n)
     assert np.all(np.diff(kn, axis=1) >= 0) and np.all(kn[:, 0] == 1)
     assert peak < 8 * R * n * 8
+
+
+@pytest.mark.parametrize("spec, width", [
+    (IidBeta(1.0, 1.0), np.uint8),
+    # v concentrates near 1e-3, 1e-6 and 1e-10, so max d = -log(1 - u_max) / v
+    # lies in the range of the named type whatever the seed
+    (SharedBeta(1000.0, 1e6), np.uint16),
+    (SharedBeta(1000.0, 1e9), np.uint32),
+    (SharedBeta(1000.0, 1e13), np.uint64),
+], ids=["uint8", "uint16", "uint32", "uint64"])
+def test_kn_paths_counts_distinct_values_in_each_rank_width(spec, width):
+    n, reps = 12, 400
+    d = sample_allocations(spec, n, reps, np.random.default_rng(36))
+    assert np.min_scalar_type(d.max()) == width
+    paths = kn_paths(spec, n, reps, np.random.default_rng(36))
+    ref = [[len(set(row[: i + 1])) for i in range(n)] for row in d.tolist()]
+    assert np.array_equal(paths, ref)
+
+
+def test_kn_paths_peak_memory_per_point():
+    # the simulator keeps its open rows in place and the ranking sorts a
+    # narrow copy of d, so the peak stays below 40 bytes per point
+    R, n = 5000, 200
+    rng = np.random.default_rng(37)
+    tracemalloc.start()
+    try:
+        kn_paths(IidBeta(1.0, 4.0), n, R, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * R * n
 
 
 def test_mixture_measure_moments():
