@@ -535,25 +535,31 @@ def _finish_row_scalar(u_rest, cumw, j, classes, iid, beta, alpha, a, b, rng):
     return d
 
 
-def _alloc_chunk_shared(u, a, b, rng):
+def _alloc_chunk_shared(u, a, b, rng, d):
+    """Closed-form chunk for a shared length v: write into d the smallest i
+    with 1 - (1-v)^i > u.  Overwrites `u`, so the caller must own it."""
     B = u.shape[0]
     v = rng.beta(a, b, size=B)
-    # d = smallest i with 1 - (1-v)^i > u, in closed form
     with np.errstate(all="ignore"):
-        L = np.floor(np.log1p(-u) / np.log1p(-v)[:, None])
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        u /= np.log1p(-v)[:, None]
+        np.floor(u, out=u)
     # an index must fit in int64; written so that NaN (u = v = 0) fails too
-    bad = ~(L < 2.0**63).all(axis=1)
+    bad = ~(u < 2.0**63).all(axis=1)
     if bad.any():
         raise ExtensionCapError(
             f"shared length v = {v[bad][0]:.3g} sends a slice point past stick 2**63")
-    return L.astype(np.int64) + 1
+    np.copyto(d, u, casting="unsafe")
+    d += 1
 
 
-def _alloc_chunk_stream(u, spec, rng):
+def _alloc_chunk_stream(u, spec, rng, d):
     """Generic chunk: grow sticks column by column for the rows whose slice
-    points are not yet all covered.  A slice point u lands on stick
-    d = 1 + #{j : C_j <= u}, C_j being the cumulative weight of the first j
-    sticks; a row is done once C_j exceeds its largest point.
+    points are not yet all covered, writing the allocations into d.  A
+    slice point u lands on stick d = 1 + #{j : C_j <= u}, C_j being the
+    cumulative weight of the first j sticks; a row is done once C_j exceeds
+    its largest point.
 
     The open rows stay in place at positions [0, m) of `u` (which is
     permuted, so the caller must own it) and of the counters: a finished
@@ -581,7 +587,6 @@ def _alloc_chunk_stream(u, spec, rng):
         slotvals = np.zeros((B, slots))
         K = np.zeros(B, dtype=np.int64)
 
-    d = np.empty((B, n), dtype=np.int64)
     # the rows still open, in row order, which fixes the variates each row
     # draws; at[i] is the position of row active[i].  passed + 1 <=
     # _STREAM_COLUMNS + 1 fits the one-byte counter
@@ -660,7 +665,6 @@ def _alloc_chunk_stream(u, spec, rng):
                                     beta, alpha, a, b, rng)
         d[ridx] = passed[i] + 1
         d[ridx, rest] = d_rest[np.searchsorted(u_rest, u[i, rest])]
-    return d
 
 
 def sample_allocations(spec, n: int, replicates: int, rng: np.random.Generator) -> np.ndarray:
@@ -680,9 +684,9 @@ def sample_allocations(spec, n: int, replicates: int, rng: np.random.Generator) 
         B = min(_CHUNK, replicates - done)
         u = rng.random((B, n))
         if isinstance(model, IdenticalDegenerate):
-            out[done:done + B] = _alloc_chunk_shared(u, a, b, rng)
+            _alloc_chunk_shared(u, a, b, rng, out[done:done + B])
         else:
-            out[done:done + B] = _alloc_chunk_stream(u, spec, rng)
+            _alloc_chunk_stream(u, spec, rng, out[done:done + B])
         done += B
     return out
 

@@ -106,21 +106,38 @@ class UnivariateNormalGamma:
         m = rng.normal(mu_n, 1.0 / math.sqrt(lam_n * tau))
         return (m, tau)
 
-    def log_pdf_matrix(self, data, atoms):
-        y = np.asarray(data, dtype=float).reshape(-1)
+    @staticmethod
+    def _factors(atoms):
+        """Per-atom mean, log normaliser and half precision, each an array
+        over the atoms."""
         means = np.array([a[0] for a in atoms])
         taus = np.array([a[1] for a in atoms])
-        z = (y[:, None] - means[None, :]) ** 2
-        return 0.5 * (np.log(taus)[None, :] - LOG_2PI) - 0.5 * taus[None, :] * z
+        return means, 0.5 * (np.log(taus) - LOG_2PI), 0.5 * taus
+
+    def log_pdf_matrix(self, data, atoms):
+        """(n, K) log densities: the transpose of one atom-major buffer,
+        filled in place, so every ufunc runs along the data."""
+        y = np.asarray(data, dtype=float).reshape(-1)
+        means, lognorm, half_tau = self._factors(atoms)
+        out = np.subtract(y, means[:, None])
+        np.square(out, out=out)
+        np.multiply(half_tau[:, None], out, out=out)
+        np.subtract(lognorm[:, None], out, out=out)
+        return out.T
 
     def log_pdf_at(self, data, atoms, d):
         """Log density of each datum at its own atom: row i of
         log_pdf_matrix read at column d[i], with the same arithmetic."""
         y = np.asarray(data, dtype=float).reshape(-1)
-        means = np.array([a[0] for a in atoms])
-        taus = np.array([a[1] for a in atoms])
-        z = (y - means[d]) ** 2
-        return (0.5 * (np.log(taus) - LOG_2PI))[d] - (0.5 * taus)[d] * z
+        means, lognorm, half_tau = self._factors(atoms)
+        z = means[d]
+        np.subtract(y, z, out=z)
+        np.square(z, out=z)
+        scaled = half_tau[d]
+        scaled *= z
+        np.take(lognorm, d, out=z)
+        z -= scaled
+        return z
 
     def pdf_grid(self, grid, atom):
         m, tau = atom
@@ -262,9 +279,26 @@ class BivariateNormalInvWishart:
         return means[:, 0], means[:, 1], l11, l21, l22, lognorm
 
     def log_pdf_matrix(self, data, atoms):
-        y = np.asarray(data, dtype=float).reshape(-1, 2)
-        mx, my, *scale = self._factors(atoms)
-        return _log_normal2(y[:, :1] - mx, y[:, 1:] - my, *scale)
+        """(n, K) log densities: the transpose of one atom-major buffer,
+        filled in place with _log_normal2's operations in its order.  The
+        second buffer holds z2; z1 is computed twice, so that no third
+        buffer is needed."""
+        y0, y1 = np.asarray(data, dtype=float).reshape(-1, 2).T
+        mx, my, l11, l21, l22, lognorm = (f[:, None] for f in self._factors(atoms))
+        z1 = np.subtract(y0, mx)
+        z1 /= l11
+        z1 *= l21
+        z2 = np.subtract(y1, my)
+        z2 -= z1
+        z2 /= l22
+        z2 *= z2
+        np.subtract(y0, mx, out=z1)
+        z1 /= l11
+        z1 *= z1
+        z1 += z2
+        z1 *= 0.5
+        np.subtract(lognorm, z1, out=z1)
+        return z1.T
 
     def log_pdf_at(self, data, atoms, d):
         """Log density of each datum at its own atom: row i of
@@ -437,7 +471,8 @@ def update_slices(state: GibbsState, rng: np.random.Generator) -> GibbsState:
     if len(state.u):
         r = rng.random(len(state.u))
         r[r == 0.0] = 0.5  # keep u strictly positive
-        state.u = r * state.weights[state.d]
+        r *= state.weights[state.d]
+        state.u = r
     return state
 
 
@@ -520,11 +555,13 @@ def update_allocations(state: GibbsState, data, kernel: MixtureKernel, rng) -> G
     others share one pass over the K sticks heavier than the smallest slice,
     kept in stick order, masked per datum and laid out stick-major, so every
     reduction runs over contiguous length-m vectors; the cost is O(n + m K),
-    not O(n phi).  Each draw inverts its own running sums: the uniform is
-    scaled by the last of them, which is at least 1 (the peak stick's term)
-    and exceeds the scaled uniform, and inadmissible sticks add exact zeros,
-    so the first running sum above the draw is a stick of positive
-    probability.
+    not O(n phi).  The pass works in place in the kernel's one K x m buffer,
+    and only admissible entries reach the peak and `exp`: masked-out entries
+    never meet numpy's slow paths for -inf and subnormal results.  Each
+    draw inverts its own running sums: the uniform is scaled by the last of
+    them, which is at least 1 (the peak stick's term) and exceeds the scaled
+    uniform, and inadmissible sticks add exact zeros, so the first running
+    sum above the draw is a stick of positive probability.
     """
     n = len(state.u)
     if n == 0:
@@ -545,14 +582,18 @@ def update_allocations(state: GibbsState, data, kernel: MixtureKernel, rng) -> G
 
     top = (weights > u.min()).nonzero()[0]
     y = np.asarray(data, dtype=float)[multi]
-    logp = kernel.log_pdf_matrix(y, [state.atoms[j] for j in top]).T.copy()
+    # the kernel's (m, K) matrix is the transpose of its stick-major buffer,
+    # which becomes the running sums in place
+    cum = kernel.log_pdf_matrix(y, [state.atoms[j] for j in top]).T
     admissible = weights[top][:, None] > u[multi]
-    peak = np.where(admissible, logp, -np.inf).max(axis=0)
-    cum = np.exp(np.where(admissible, logp - peak, -np.inf))
+    cum -= np.max(cum, axis=0, where=admissible, initial=-np.inf)
+    np.exp(cum, out=cum, where=admissible)
+    np.putmask(cum, ~admissible, 0.0)
     for i in range(1, len(top)):
         cum[i] += cum[i - 1]
     draws = uniforms[multi] * cum[-1]
-    d[multi] = top[(cum <= draws).sum(axis=0)]
+    # a count below len(top) fits the narrowest type that holds len(top)
+    d[multi] = top[(cum <= draws).sum(axis=0, dtype=np.min_scalar_type(len(top)))]
     state.d = d
     return state
 

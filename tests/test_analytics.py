@@ -557,7 +557,8 @@ def _stream_and_reference(spec, B, n, seed, scale=1.0):
     and return the same allocations."""
     u = np.random.default_rng(seed).random((B, n)) * scale
     rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    d = _alloc_chunk_stream(u.copy(), spec, rng)
+    d = np.empty(u.shape, dtype=np.int64)
+    _alloc_chunk_stream(u.copy(), spec, rng, d)
     ref = _alloc_chunk_stream_compacting(u.copy(), spec, ref_rng)
     assert np.array_equal(d, ref)
     assert rng.bit_generator.state == ref_rng.bit_generator.state

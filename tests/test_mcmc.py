@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.special import betainc, betaincinv
 from esbmix.analytics import sample_kn
 from esbmix.eppf import Dirichlet, IdenticalDegenerate, IidDegenerate, PitmanYor
 from esbmix.mcmc import (
+    LOG_2PI,
     BivariateNormalInvWishart,
     FitConfig,
     FitResult,
@@ -303,6 +305,106 @@ def test_update_allocations_empty_slice_support_raises():
     with pytest.raises(RuntimeError, match="empty slice support"):
         update_allocations(state, np.zeros(3), UNIVARIATE, rng)
     assert rng.bit_generator.state == before
+
+
+def large_allocation_state(kernel):
+    """n = 20,000 draws around the origin on ten sticks, with slices drawn
+    under allocations proportional to the weights, so most data admit
+    several sticks.  The atoms include a far, flat one and sharp ones whose
+    admissible densities underflow to 0."""
+    gen = np.random.default_rng(61)
+    n = 20_000
+    weights = sb_transform(np.array([0.3, 0.25, 0.2, 0.3, 0.15, 0.35, 0.2, 0.1, 0.4, 0.25]))
+    d = gen.choice(len(weights), size=n, p=weights / weights.sum())
+    u = gen.random(n) * weights[d]
+    if kernel.dim == 1:
+        data = gen.normal(size=n)
+        atoms = [(0.0, 1.0), (-44.8, 0.017), (0.3, 400.0), (1.5, 0.5), (-2.0, 4.0),
+                 (40.0, 1.0), (0.0, 1e-6), (-0.7, 2.0), (2.5, 50.0), (-1.0, 1.0)]
+    else:
+        data = gen.normal(size=(n, 2))
+        shapes = [(1.0, 0.0, 1.0), (60.0, 0.0, 60.0), (1e-3, 0.0, 1e-3), (2.0, 1.9, 2.0),
+                  (0.5, -0.45, 0.5), (1.0, 0.0, 1.0), (1e4, 0.0, 1e4), (3.0, 0.5, 1.0),
+                  (0.02, 0.0, 0.02), (1.0, -0.99, 1.0)]
+        centres = [(0.0, 0.0), (-44.8, 30.0), (0.3, -0.2), (1.0, 1.0), (-1.0, 1.0),
+                   (40.0, -40.0), (0.0, 0.0), (-0.5, -1.5), (2.0, 0.0), (0.5, 0.5)]
+        atoms = [(np.array(c), np.array([[s11, s21], [s21, s22]]))
+                 for c, (s11, s21, s22) in zip(centres, shapes)]
+    state = allocation_state(weights, u, atoms)
+    return state, data
+
+
+@pytest.mark.parametrize("kernel", [UNIVARIATE, BIVARIATE], ids=["univariate", "bivariate"])
+def test_update_allocations_matches_dense_draw_at_large_n(kernel):
+    ref, data = large_allocation_state(kernel)
+    state, _ = large_allocation_state(kernel)
+    ref_rng, rng = np.random.default_rng(62), np.random.default_rng(62)
+    with np.errstate(over="ignore", under="ignore"):
+        _dense_allocations(ref, data, kernel, ref_rng)
+    update_allocations(state, data, kernel, rng)
+    assert np.array_equal(state.d, ref.d)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # the state exercises a long masked stick-major pass
+    assert len(np.unique(state.d)) >= 8
+
+
+@pytest.mark.parametrize("kernel", [UNIVARIATE, BIVARIATE], ids=["univariate", "bivariate"])
+def test_update_allocations_peak_memory_per_visited_entry(kernel):
+    # one stick-major float buffer (two for the bivariate kernel) and boolean
+    # masks: the peak stays below 24 bytes per visited (stick, datum) entry
+    state, data = large_allocation_state(kernel)
+    visited_sticks = np.count_nonzero(state.weights > state.u.min())
+    multi = np.count_nonzero(state.u < np.sort(state.weights)[-2])
+    rng = np.random.default_rng(63)
+    tracemalloc.start()
+    try:
+        update_allocations(state, data, kernel, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert multi > len(data) / 2
+    assert peak < 24 * visited_sticks * multi
+
+
+def _broadcast_log_pdf(kernel, data, atoms):
+    """The data-major broadcast form of the kernels' log densities, from
+    before the stick-major buffer; reference for its bits."""
+    if kernel.dim == 1:
+        y = np.asarray(data, dtype=float).reshape(-1)
+        means = np.array([a[0] for a in atoms])
+        taus = np.array([a[1] for a in atoms])
+        z = (y[:, None] - means[None, :]) ** 2
+        return 0.5 * (np.log(taus)[None, :] - LOG_2PI) - 0.5 * taus[None, :] * z
+    y = np.asarray(data, dtype=float).reshape(-1, 2)
+    mx, my, l11, l21, l22, lognorm = BivariateNormalInvWishart._factors(atoms)
+    z1 = (y[:, :1] - mx) / l11
+    z2 = ((y[:, 1:] - my) - l21 * z1) / l22
+    return lognorm - 0.5 * (z1 * z1 + z2 * z2)
+
+
+@pytest.mark.parametrize("kernel", [UNIVARIATE, BIVARIATE], ids=["univariate", "bivariate"])
+def test_log_pdf_matrix_keeps_the_broadcast_bits(kernel):
+    gen = np.random.default_rng(64)
+    state, data = large_allocation_state(kernel)
+    # far data, far atoms and sharp scales, plus random atoms of every size
+    data = np.concatenate([data[:500], 1e3 * data[:20], 1e-8 * data[:20]])
+    atoms = list(state.atoms)
+    for _ in range(20):
+        scale = 10.0 ** gen.uniform(-6, 6)
+        if kernel.dim == 1:
+            atoms.append((gen.normal(scale=50.0), scale))
+        else:
+            c = gen.uniform(-0.999, 0.999) * scale
+            atoms.append((gen.normal(scale=50.0, size=2), np.array([[scale, c], [c, scale]])))
+    with np.errstate(over="ignore"):
+        ref = _broadcast_log_pdf(kernel, data, atoms)
+        logp = kernel.log_pdf_matrix(data, atoms)
+    assert logp.shape == (len(data), len(atoms))
+    assert np.array_equal(logp, ref)
+    d = gen.integers(0, len(atoms), size=len(data))
+    with np.errstate(over="ignore"):
+        at = kernel.log_pdf_at(data, atoms, d)
+    assert np.array_equal(at, logp[np.arange(len(data)), d])
 
 
 def _mask_loop_atoms(state, data, kernel, rng):
