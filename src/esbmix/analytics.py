@@ -442,8 +442,8 @@ def _log_no_new(j, s, beta, alpha):
 def _finish_row_scalar(u_rest, cumw, j, classes, iid, beta, alpha, a, b, rng):
     """Scalar continuation for one row the vectorized pass left uncovered:
     given the row's uncovered slice points in ascending order, return their
-    allocations.  Draws come from pre-generated blocks so each stick costs
-    O(#classes).
+    allocations.  Draws come from pre-generated blocks, which double from 64
+    up to 4096 draws, so each stick costs O(#classes).
 
     While a single class holds every draw (the near-Geometric regime where
     millions of identical sticks may be needed), whole stretches are handled
@@ -454,12 +454,10 @@ def _finish_row_scalar(u_rest, cumw, j, classes, iid, beta, alpha, a, b, rng):
     d = np.empty(n, dtype=np.int64)
     ptr = 0
     total = float(sum(c for c, _ in classes))
-    buf = 4096
-    us = rng.random(buf)
-    fresh = rng.beta(a, b, size=buf)
-    pos = 0
+    buf = pos = 0
     while ptr < n:
         if pos >= buf:
+            buf = min(2 * buf or 64, 4096)
             us = rng.random(buf)
             fresh = rng.beta(a, b, size=buf)
             pos = 0
@@ -535,11 +533,14 @@ def _finish_row_scalar(u_rest, cumw, j, classes, iid, beta, alpha, a, b, rng):
     return d
 
 
-def _alloc_chunk_shared(u, a, b, rng, d):
-    """Closed-form chunk for a shared length v: write into d the smallest i
-    with 1 - (1-v)^i > u.  Overwrites `u`, so the caller must own it."""
-    B = u.shape[0]
-    v = rng.beta(a, b, size=B)
+def _alloc_chunk_shared(spec, rng, d):
+    """Closed-form chunk for a shared length v: n sorted uniform slice points
+    per row, each on the smallest stick i with 1 - (1-v)^i > u, so every row
+    of d comes out sorted."""
+    B = d.shape[0]
+    u = rng.random(d.shape)
+    u.sort(axis=1)
+    v = rng.beta(spec.base_a, spec.base_b, size=B)
     with np.errstate(all="ignore"):
         np.negative(u, out=u)
         np.log1p(u, out=u)
@@ -554,24 +555,15 @@ def _alloc_chunk_shared(u, a, b, rng, d):
     d += 1
 
 
-def _alloc_chunk_stream(u, spec, rng, d):
-    """Generic chunk: grow sticks column by column for the rows whose slice
-    points are not yet all covered, writing the allocations into d.  A
-    slice point u lands on stick d = 1 + #{j : C_j <= u}, C_j being the
-    cumulative weight of the first j sticks; a row is done once C_j exceeds
-    its largest point.
-
-    The open rows stay in place at positions [0, m) of `u` (which is
-    permuted, so the caller must own it) and of the counters: a finished
-    row's slot is filled with an open row from the tail.  A stick therefore
-    costs one comparison per point of each open row, and no column copies
-    the open rows; a column in which k rows finish moves at most k others.
-    `ids` maps positions to rows and `pos` rows to positions.  The variates
-    are drawn in ascending row order, so every row gets the draws it would
-    get if no row moved."""
+def _alloc_chunk_stream(spec, rng, d):
+    """Generic chunk: grow sticks column by column for the rows that have
+    draws left, writing each row's allocations into d in ascending order.
+    Given the weights the draws are iid, so of the r draws a row has left
+    when it reaches stick j, Bin(r, v_j) stop there; a row closes once it
+    has none left."""
     model = spec.eppf
     a, b = spec.base_a, spec.base_b
-    B, n = u.shape
+    B, n = d.shape
 
     iid = isinstance(model, IidDegenerate)
     beta = alpha = 0.0
@@ -587,14 +579,12 @@ def _alloc_chunk_stream(u, spec, rng, d):
         slotvals = np.zeros((B, slots))
         K = np.zeros(B, dtype=np.int64)
 
-    # the rows still open, in row order, which fixes the variates each row
-    # draws; at[i] is the position of row active[i].  passed + 1 <=
-    # _STREAM_COLUMNS + 1 fits the one-byte counter
+    # the rows with draws left, in row order; a row's first free slot is
+    # n - left.  A run of label j is written at its first slot only, and the
+    # running maximum at the end fills the rest of it
     active = np.arange(B)
-    ids, pos, at = active.copy(), active.copy(), active.copy()
-    umax = u.max(axis=1)
-    cumw = np.zeros(B)
-    passed = np.zeros((B, n), dtype=np.min_scalar_type(_STREAM_COLUMNS + 1))
+    left = np.full(B, n)
+    d.fill(0)
     j = 0
     while active.size and j < _STREAM_COLUMNS:
         m = active.size
@@ -629,90 +619,91 @@ def _alloc_chunk_stream(u, spec, rng, d):
                 slot = (cw <= pick[:, None]).sum(axis=1)
                 counts[old_rows, slot] += 1.0
                 vcol[~is_new] = slotvals[old_rows, slot]
-        vpos = np.empty(m)
-        vpos[at] = vcol
-        cw_open = cumw[:m]
-        cw_open += (1.0 - cw_open) * vpos
         j += 1
-        passed[:m] += u[:m] >= cw_open[:, None]
-        done = umax[:m] < cw_open
-        if done.any():
-            gone = np.flatnonzero(done)
-            d[ids[gone]] = passed[gone] + 1
-            active = active[~done[at]]
-            m = active.size
-            # open rows beyond the new end move into the finished rows' slots
-            holes = gone[gone < m]
-            movers = m + np.flatnonzero(~done[m:])
-            u[holes], passed[holes] = u[movers], passed[movers]
-            umax[holes], cumw[holes] = umax[movers], cumw[movers]
-            ids[holes] = ids[movers]
-            pos[ids[holes]] = holes
-            at = pos[active]
+        r = left[active]
+        got = rng.binomial(r, vcol)
+        hit = got > 0
+        d[active[hit], n - r[hit]] = j
+        r -= got
+        left[active] = r
+        active = active[r > 0]
 
+    # a row still open after the vectorized columns hands its r draws to the
+    # scalar pass as r sorted slice points on the sticks still to come,
+    # measured in the mass those sticks share: uniforms on [0, 1) and a
+    # cumulative weight starting at 0
     for ridx in active:
-        i = pos[ridx]
         if iid:
             classes = []
         else:
             kk = int(K[ridx])
             classes = [[float(c), float(x)]
                        for c, x in zip(counts[ridx, :kk], slotvals[ridx, :kk])]
-        # the uncovered points go to the scalar pass in ascending order
-        rest = u[i] >= cumw[i]
-        u_rest = np.sort(u[i, rest])
-        d_rest = _finish_row_scalar(u_rest, float(cumw[i]), j, classes, iid,
-                                    beta, alpha, a, b, rng)
-        d[ridx] = passed[i] + 1
-        d[ridx, rest] = d_rest[np.searchsorted(u_rest, u[i, rest])]
+        r = int(left[ridx])
+        d[ridx, n - r:] = _finish_row_scalar(np.sort(rng.random(r)), 0.0, j, classes, iid,
+                                             beta, alpha, a, b, rng)
+    np.maximum.accumulate(d, axis=1, out=d)
+
+
+def _sorted_allocations(spec, n, replicates, rng):
+    """`replicates` allocation vectors of length n, each row sorted."""
+    if n < 1 or replicates < 1:
+        raise ValueError("n and replicates must be >= 1")
+    shared = isinstance(spec.eppf, IdenticalDegenerate)
+    chunk = _alloc_chunk_shared if shared else _alloc_chunk_stream
+    d = np.empty((replicates, n), dtype=np.int64)
+    for done in range(0, replicates, _CHUNK):
+        chunk(spec, rng, d[done:done + _CHUNK])
+    return d
+
+
+def _arranged_allocations(spec, n, replicates, rng):
+    """Sorted allocation rows and their arrangement: sorted entry i of row r
+    is draw pos[r, i] of that replicate.  Given the weights the draws are
+    exchangeable, so a uniform permutation per row gives their order."""
+    d = _sorted_allocations(spec, n, replicates, rng)
+    pos = np.empty(d.shape, dtype=np.min_scalar_type(n - 1))
+    pos[:] = np.arange(n, dtype=pos.dtype)
+    rng.permuted(pos, axis=1, out=pos)
+    return d, pos
 
 
 def sample_allocations(spec, n: int, replicates: int, rng: np.random.Generator) -> np.ndarray:
     """Draw `replicates` independent allocation vectors (d_1..d_n), 1-based:
-    per replicate, n iid uniform slice points are inverted through the
-    cumulative stick weights, extending the sticks as far as the largest
-    slice point requires.  Raises ExtensionCapError when a slice point needs
-    more than EXTENSION_CAP sticks, or, under a shared length, lands past
-    stick 2**63."""
-    if n < 1 or replicates < 1:
-        raise ValueError("n and replicates must be >= 1")
-    model = spec.eppf
-    a, b = spec.base_a, spec.base_b
-    out = np.empty((replicates, n), dtype=np.int64)
-    done = 0
-    while done < replicates:
-        B = min(_CHUNK, replicates - done)
-        u = rng.random((B, n))
-        if isinstance(model, IdenticalDegenerate):
-            _alloc_chunk_shared(u, a, b, rng, out[done:done + B])
-        else:
-            _alloc_chunk_stream(u, spec, rng, out[done:done + B])
-        done += B
+    per replicate, the sticks are grown until every draw has stopped, Bin(r,
+    v_j) of the r draws that reach stick j stopping there (a shared length
+    inverts sorted slice points in closed form), and the stops are put in a
+    uniformly random order.  Raises
+    ExtensionCapError when a draw needs more than EXTENSION_CAP sticks, or,
+    under a shared length, lands past stick 2**63."""
+    d, pos = _arranged_allocations(spec, n, replicates, rng)
+    out = np.empty_like(d)
+    np.put_along_axis(out, pos, d, axis=1)
     return out
 
 
 def kn_paths(spec, n_max: int, replicates: int, rng: np.random.Generator) -> np.ndarray:
     """Matrix of K_n values, shape (replicates, n_max): entry (r, i) counts
     the distinct allocations among the first i+1 draws of replicate r, so
-    every row is monotone and prefix-consistent."""
-    d = sample_allocations(spec, n_max, replicates, rng)
-    # ranked in the narrowest unsigned type that holds max d: numpy's stable
-    # sort is a radix sort for 8- and 16-bit integers
-    d = d.astype(np.min_scalar_type(d.max()))
-    # a draw is new when it is the first of its value in the row: a stable
-    # sort keeps equal values in draw order, so the first of each run counts
-    order = np.argsort(d, axis=1, kind="stable")
-    ranked = np.take_along_axis(d, order, axis=1)
-    first = np.ones(d.shape, dtype=bool)
-    first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    fresh = np.empty_like(first)
-    np.put_along_axis(fresh, order, first, axis=1)
-    return np.cumsum(fresh, axis=1, dtype=np.int64)
+    every row is monotone and prefix-consistent.  It reads the same variates
+    as `sample_allocations`."""
+    d, pos = _arranged_allocations(spec, n_max, replicates, rng)
+    # a value is new at the earliest draw of its run in the sorted row
+    start = np.empty(d.size, dtype=bool)
+    np.not_equal(d.ravel()[1:], d.ravel()[:-1], out=start[1:])
+    start[::n_max] = True
+    runs = np.flatnonzero(start)
+    first = np.minimum.reduceat(pos.ravel(), runs)
+    kn = np.zeros(d.shape, dtype=np.int64)
+    kn.ravel()[runs - runs % n_max + first] = 1
+    return np.cumsum(kn, axis=1, out=kn)
 
 
 def sample_kn(spec, n: int, replicates: int, rng: np.random.Generator) -> KnSummary:
-    """Empirical pmf of K_n under the prior, by slice-point inversion."""
-    kn = kn_paths(spec, n, replicates, rng)[:, -1]
+    """Empirical pmf of K_n under the prior: one more than the number of
+    label changes in each sorted allocation row."""
+    d = _sorted_allocations(spec, n, replicates, rng)
+    kn = 1 + np.count_nonzero(d[:, 1:] != d[:, :-1], axis=1)
     values, counts = np.unique(kn, return_counts=True)
     pmf = {int(k): int(c) / replicates for k, c in zip(values, counts)}
     return KnSummary(n=n, pmf=pmf, replicates=replicates)

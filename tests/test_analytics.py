@@ -4,8 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import gammaln, logsumexp
 
@@ -27,10 +25,6 @@ from esbmix.analytics import (
     truncated_pair_mass,
     tv_distance,
     weight_ordering_c,
-    _STREAM_COLUMNS,
-    _alloc_chunk_stream,
-    _finish_row_scalar,
-    _grow,
     _symmetric_residual_moment,
 )
 from esbmix.eppf import Dirichlet, IdenticalDegenerate, IidDegenerate, PitmanYor
@@ -417,6 +411,29 @@ def test_sample_kn_support_and_mass():
                            if np.any(kn == k)}
 
 
+@pytest.mark.parametrize("theta", [0.5, 2.5])
+def test_sample_kn_matches_the_ewens_law(theta):
+    # iid Be(1, theta) lengths give the Dirichlet process, whose K_n follows
+    # the Ewens law P[K_n = k] = theta^k |s(n, k)| / (theta)_n; the unsigned
+    # Stirling numbers come from |s(m+1, k)| = m |s(m, k)| + |s(m, k-1)|
+    n, reps = 20, 200_000
+    stirling = [1]
+    for m in range(n):
+        stirling = [m * s + t for s, t in zip(stirling + [0], [0] + stirling)]
+    rising = math.prod(theta + i for i in range(n))
+    exact = np.array([theta**k * stirling[k] / rising for k in range(n + 1)])
+    assert exact.sum() == pytest.approx(1.0, rel=1e-12)
+    pmf = sample_kn(IidBeta(1.0, theta), n, reps, np.random.default_rng(41)).pmf
+    observed = np.array([pmf.get(k, 0.0) * reps for k in range(n + 1)])
+    # Pearson's statistic over the values expected at least 5 times, the
+    # rest pooled into one cell
+    keep = exact * reps >= 5
+    obs = np.append(observed[keep], observed[~keep].sum())
+    exp = np.append(exact[keep], exact[~keep].sum()) * reps
+    chi2 = float(np.sum((obs - exp) ** 2 / exp))
+    assert chi2 < stats.chi2.ppf(1 - 1e-4, df=obs.size - 1)
+
+
 def test_sample_allocations_matches_sequential_reference():
     # the vectorized allocation sampler against a per-replicate loop built
     # from the sequential prefix sampler
@@ -473,158 +490,26 @@ def test_scalar_continuation_matches_exact_residual_mass(spec):
         assert abs(freq - p) < 4 * math.sqrt(p * (1 - p) / reps)
 
 
-def _alloc_chunk_stream_compacting(u, spec, rng):
-    """The stream chunk with the open rows compacted: every column in which a
-    row finishes copies the open rows' points and counters.  Kept as the
-    reference for `_alloc_chunk_stream`, which must give the same allocations
-    from the same variates."""
-    model = spec.eppf
-    a, b = spec.base_a, spec.base_b
-    B, n = u.shape
-    iid = isinstance(model, IidDegenerate)
-    beta = alpha = 0.0
-    if not iid:
-        beta = model.beta
-        alpha = model.alpha if isinstance(model, PitmanYor) else 0.0
-        slots = 8
-        counts = np.zeros((B, slots))
-        slotvals = np.zeros((B, slots))
-        K = np.zeros(B, dtype=np.int64)
-    d = np.empty((B, n), dtype=np.int64)
-    active = np.arange(B)
-    ua, umax = u, u.max(axis=1)
-    cumw = np.zeros(B)
-    passed = np.zeros((B, n), dtype=np.min_scalar_type(_STREAM_COLUMNS + 1))
-    j = 0
-    while active.size and j < _STREAM_COLUMNS:
-        m = active.size
-        if iid:
-            vcol = rng.beta(a, b, size=m)
-        else:
-            new_prob = (beta + K[active] * alpha) / (beta + j) if j > 0 else np.ones(m)
-            is_new = rng.random(m) < new_prob
-            vcol = np.empty(m)
-            new_rows = active[is_new]
-            if new_rows.size:
-                newvals = rng.beta(a, b, size=new_rows.size)
-                kn = K[new_rows]
-                if kn.max(initial=0) + 1 > slots:
-                    counts = _grow(counts, slots)
-                    slotvals = _grow(slotvals, slots)
-                    slots *= 2
-                counts[new_rows, kn] += 1.0
-                slotvals[new_rows, kn] = newvals
-                vcol[is_new] = newvals
-                K[new_rows] += 1
-            old_rows = active[~is_new]
-            if old_rows.size:
-                width = int(K[old_rows].max())
-                wmat = counts[old_rows, :width]
-                if alpha:
-                    wmat = wmat - alpha * (wmat > 0)
-                cw = np.cumsum(wmat, axis=1)
-                pick = rng.random(old_rows.size) * cw[:, -1]
-                slot = (cw <= pick[:, None]).sum(axis=1)
-                counts[old_rows, slot] += 1.0
-                vcol[~is_new] = slotvals[old_rows, slot]
-        cumw += (1.0 - cumw) * vcol
-        j += 1
-        passed += ua >= cumw[:, None]
-        keep = umax >= cumw
-        if not keep.all():
-            d[active[~keep]] = passed[~keep] + 1
-            active, ua, umax, cumw, passed = (
-                active[keep], ua[keep], umax[keep], cumw[keep], passed[keep])
-    for i, ridx in enumerate(active):
-        if iid:
-            classes = []
-        else:
-            kk = int(K[ridx])
-            classes = [[float(c), float(x)]
-                       for c, x in zip(counts[ridx, :kk], slotvals[ridx, :kk])]
-        rest = ua[i] >= cumw[i]
-        u_rest = np.sort(ua[i, rest])
-        d_rest = _finish_row_scalar(u_rest, float(cumw[i]), j, classes, iid,
-                                    beta, alpha, a, b, rng)
-        d[ridx] = passed[i] + 1
-        d[ridx, rest] = d_rest[np.searchsorted(u_rest, ua[i, rest])]
-    return d
-
-
-def _stream_and_reference(spec, B, n, seed, scale=1.0):
-    """Run the stream and its compacting reference on the same slice points
-    (scaled by `scale`) and generator seed; both must draw the same variates
-    and return the same allocations."""
-    u = np.random.default_rng(seed).random((B, n)) * scale
-    rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    d = np.empty(u.shape, dtype=np.int64)
-    _alloc_chunk_stream(u.copy(), spec, rng, d)
-    ref = _alloc_chunk_stream_compacting(u.copy(), spec, ref_rng)
-    assert np.array_equal(d, ref)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-    return d
-
-
-STREAM_LAWS = [
-    IidBeta(1.0, 1.0), IidBeta(20.0, 2000.0), dsb(1 / 3, 1.0), dsb(3.0, 1.0), dsb(0.01, 1.0),
-    SpeciesDriven(Dirichlet(0.05), 20.0, 2000.0),
-    SpeciesDriven(PitmanYor(0.5, 1.0), 1.0, 1.0), SpeciesDriven(PitmanYor(0.5, 1.0), 20.0, 2000.0),
-]
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(STREAM_LAWS), st.integers(1, 300), st.integers(1, 40),
-       st.integers(0, 2**32 - 2), st.sampled_from([1.0, 1e-6]))
-def test_stream_matches_compacting_reference(spec, B, n, seed, scale):
-    _stream_and_reference(spec, B, n, seed, scale)
-
-
-def test_stream_matches_reference_when_every_row_finishes_at_once():
-    # points below 1e-6 are all covered by the first stick
-    d = _stream_and_reference(IidBeta(1.0, 1.0), 300, 5, 3, scale=1e-6)
-    assert np.all(d == 1)
-
-
-@pytest.mark.parametrize("spec", [IidBeta(1.0, 1.0), dsb(1 / 3, 1.0)], ids=["iid", "dsb-third"])
-def test_stream_matches_reference_when_tail_rows_finish_together(spec):
-    # several rows finish in the first column, some of them among the last
-    # rows, whose slots a swap-remove fills from one another
-    B = 300
-    d = _stream_and_reference(spec, B, 1, 4)
-    first = np.flatnonzero(d.max(axis=1) == 1)
-    assert first.size >= 2 and first.max() >= B - first.size
-
-
-@pytest.mark.parametrize("spec", [
-    IidBeta(20.0, 2000.0), SpeciesDriven(PitmanYor(0.5, 1.0), 20.0, 2000.0),
-    SpeciesDriven(Dirichlet(0.05), 20.0, 2000.0),  # the single-class closed form
-], ids=["iid", "pitman-yor", "dirichlet-0.05"])
-def test_stream_matches_reference_through_the_scalar_tail(spec):
-    # an allocation past the last vectorized column comes from the scalar pass
-    d = _stream_and_reference(spec, 200, 3, 5)
-    assert d.max() > _STREAM_COLUMNS
-
-
 @pytest.mark.parametrize("spec, n, reps, digest", [
     # vectorized pass only
     (IidBeta(1.0, 1.0), 20, 2000,
-     "6961859c27b8fe2e77277172825fa8dc7a3aeddaeae052ae882b9f1b8050a195"),
+     "e98c83cbe9d6cffa2ec0f5ebc0d3f70123a1ee7d1b4351e17156885098407725"),
     # iid scalar tail
     (IidBeta(20.0, 2000.0), 2, 200,
-     "3a61145197013648efa2882d16cf75b9cf327250c20dd91f1a286befc428a1a2"),
+     "2e1d0ea45daa77ba905fa8d023276d3fecadc1440437ff479110c8bfaed1208e"),
     # CRP scalar tail, with single-class stretches and class joins
     (dsb(1 / 3, 1.0), 30, 3000,
-     "2bdd3dfb4e35b77320b039d8de3f7767869b709d5bf590000954286ff3b03642"),
+     "2e45fdff0ac8ba5db4ebd99e8667b1356198c3bddab301811852a08b686423ea"),
     # single-class closed form
     (dsb(0.01, 1.0), 10, 3000,
-     "a04ecc8df271d0153515413f1815fdfcb541b5d143a3538ad2aa9b0ad5bdb49f"),
+     "8f372cc7de00ceeb977c981ecdfac67d2baa63848be22d71cbe86bf15e53d498"),
     (SpeciesDriven(PitmanYor(0.5, 1.0), 1.0, 1.0), 20, 2000,
-     "ad34cbd23d6aeffa48bc634dd0d0b732b22435f91adcc0fe10b9ae6b8aec0b4c"),
+     "6291612a07d3bd3d00aa4335726b571726b0e3be6799c1c87573fbe97bb9daef"),
     (SharedBeta(1.0, 1.0), 10, 5000,
-     "8ec3f7420c7d4e6a8331a6764be0fa089dfe6a443c3011e23bc65a54836a90c8"),
+     "698cc61c41e1dadc92eb919a55e08f8b78421c6803d8fa242cdb8d5acab7b4f1"),
     # two chunks
     (IidBeta(1.0, 1.0), 2, 50_001,
-     "31fa0009d2225092ed333741fc4f7d21e84dfcd35ba449d8269e93f518a7a440"),
+     "f30dd4bf487ced2c629dae4a2f7a5034b6b873760c62b72e0eb6e0796ba56cb5"),
 ], ids=["iid", "iid-tail", "dsb-third", "dsb-0.01", "pitman-yor", "shared", "two-chunks"])
 def test_seeded_allocations_are_pinned(spec, n, reps, digest):
     # Golden draws (numpy 2.4, scipy 1.17): SHA-256 over the allocations and
@@ -703,8 +588,9 @@ def test_kn_paths_counts_distinct_values_in_each_rank_width(spec, width):
 
 
 def test_kn_paths_peak_memory_per_point():
-    # the simulator keeps its open rows in place and the ranking sorts a
-    # narrow copy of d, so the peak stays below 40 bytes per point
+    # the simulator writes each chunk's sorted rows in place and the
+    # arrangement is a permutation in the narrowest unsigned type, so the
+    # peak stays below 40 bytes per point
     R, n = 5000, 200
     rng = np.random.default_rng(37)
     tracemalloc.start()

@@ -82,8 +82,9 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 def test_benchmark_tracer_patches_and_restores_the_sweep_layers():
     # the tracer replaces module and class attributes by name: a renamed or
-    # removed one is a KeyError in every traced benchmark run
-    from esbmix import analytics, mcmc
+    # removed one is a KeyError in every traced benchmark run, and a layer
+    # that stops calling through a patched name loses its span
+    from esbmix import analytics, eppf, mcmc, sticks
 
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer_module = importlib.util.module_from_spec(spec)
@@ -99,6 +100,13 @@ def test_benchmark_tracer_patches_and_restores_the_sweep_layers():
         config = mcmc.FitConfig(prior=mcmc.RandomRho(theta=1.0), kernel=mcmc.default_kernel(data),
                                 iterations=3, burn_in=0, thin=1, seed=0)
         mcmc.fit(data, config)
+        rng = np.random.default_rng(0)
+        analytics.kn_paths(sticks.dsb(1.0, 1.0), 5, 20, rng)
+        analytics.sample_kn(sticks.dsb(1.0, 1.0), 5, 20, rng)
+        analytics.sample_allocations(sticks.IidBeta(1.0, 1.0), 5, 20, rng)
+        analytics.allocation_probability([1, 2, 1], eppf.Dirichlet(1.0), 1.0, 1.0)
+        analytics.truncated_pair_mass(eppf.Dirichlet(1.0), 1.0, 1.0, 4)
+        analytics.ordering_probability_mc(sticks.dsb(1.0, 1.0), 20, rng)
     finally:
         tracer.uninstall()
 
@@ -109,6 +117,11 @@ def test_benchmark_tracer_patches_and_restores_the_sweep_layers():
                   "update_atoms", "update_rho", "complete_data_log_score"):
         assert calls[f"mcmc.{layer}"] >= 3, layer
     assert calls["sticks.sb_transform"] >= 3
+    for layer in ("analytics.kn_paths", "analytics.sample_kn", "analytics.sample_allocations",
+                  "analytics.allocation_probability", "analytics.truncated_pair_mass",
+                  "analytics.ordering_probability_mc", "sticks.sample_length_pairs"):
+        assert calls[layer] >= 1, layer
+    assert tracer.counts["numerics.log_beta_moment"] > 0
 
 
 def esbmix_imports(source):
