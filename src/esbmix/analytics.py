@@ -657,46 +657,85 @@ def _sorted_allocations(spec, n, replicates, rng):
     return d
 
 
-def _arranged_allocations(spec, n, replicates, rng):
-    """Sorted allocation rows and their arrangement: sorted entry i of row r
-    is draw pos[r, i] of that replicate.  Given the weights the draws are
-    exchangeable, so a uniform permutation per row gives their order."""
-    d = _sorted_allocations(spec, n, replicates, rng)
-    pos = np.empty(d.shape, dtype=np.min_scalar_type(n - 1))
-    pos[:] = np.arange(n, dtype=pos.dtype)
-    rng.permuted(pos, axis=1, out=pos)
-    return d, pos
+def _first_arrival_paths(d, rng):
+    """K_n paths of a uniformly random order of each sorted row's draws,
+    written over d.
+
+    Give every draw an iid Exp(1) arrival time.  A run of c equal labels then
+    first arrives at an Exp(c) time, and by memorylessness each draw of a run
+    already seen that has not yet arrived does so before the next first
+    arrival with probability 1 - exp(-gap), independently.  So one clock and
+    one binomial per run place every first arrival, and no draw is permuted.
+    """
+    B, n = d.shape
+    start = np.empty(d.size, dtype=bool)
+    np.not_equal(d.ravel()[1:], d.ravel()[:-1], out=start[1:])
+    start[::n] = True
+    runs = np.flatnonzero(start)
+    del start
+    size = np.diff(runs, append=d.size)
+    row = runs // n
+    K = np.bincount(row, minlength=B)
+    clock = rng.standard_exponential(runs.size) / size
+    # runs by row, then by first arrival; the stable pass on the narrow row
+    # ids is a radix sort.  Each row's runs keep their slots, so
+    # row[order] == row afterwards
+    order = np.argsort(clock)
+    order = order[np.argsort(row[order].astype(np.min_scalar_type(B - 1)), kind="stable")]
+    # rows by K descending, so the rows still placing runs at event i are the
+    # first L[i]; event i's runs are laid out at [off[i], off[i] + L[i])
+    byk = np.argsort((n - K).astype(np.min_scalar_type(n)), kind="stable")
+    L = B - np.cumsum(np.bincount(K))[:-1]
+    off = np.cumsum(L) - L
+    place = np.empty(B, dtype=np.int64)
+    place[byk] = np.arange(B)
+    # a run's rank in its row's arrival order picks the event, and its row's
+    # place in byk the slot within it
+    dest = off[np.arange(runs.size) - np.repeat(np.cumsum(K) - K, K)] + place[row]
+    ev_clock = np.empty(runs.size)
+    ev_clock[dest] = clock[order]
+    ev_size = np.empty(runs.size, dtype=np.int64)
+    ev_size[dest] = size[order]
+
+    # the sorted rows are no longer needed: the paths take their buffer
+    d.fill(0)
+    flat = d.ravel()
+    d[:, 0] = 1
+    # per row: the flat index of the latest first arrival, and the draws of
+    # runs already seen that have not yet arrived
+    at = byk * n
+    pending = ev_size[:B] - 1
+    prev = ev_clock[:B]
+    for i in range(1, L.size):
+        m = L[i]
+        now = ev_clock[off[i]:off[i] + m]
+        got = rng.binomial(pending[:m], -np.expm1(prev[:m] - now))
+        at[:m] += got + 1
+        pending[:m] += ev_size[off[i]:off[i] + m] - 1 - got
+        flat[at[:m]] = 1
+        prev = now
+    return np.cumsum(d, axis=1, out=d)
 
 
 def sample_allocations(spec, n: int, replicates: int, rng: np.random.Generator) -> np.ndarray:
     """Draw `replicates` independent allocation vectors (d_1..d_n), 1-based:
     per replicate, the sticks are grown until every draw has stopped, Bin(r,
     v_j) of the r draws that reach stick j stopping there (a shared length
-    inverts sorted slice points in closed form), and the stops are put in a
-    uniformly random order.  Raises
+    inverts sorted slice points in closed form), and each sorted row is then
+    shuffled in place into a uniformly random order.  Raises
     ExtensionCapError when a draw needs more than EXTENSION_CAP sticks, or,
     under a shared length, lands past stick 2**63."""
-    d, pos = _arranged_allocations(spec, n, replicates, rng)
-    out = np.empty_like(d)
-    np.put_along_axis(out, pos, d, axis=1)
-    return out
+    d = _sorted_allocations(spec, n, replicates, rng)
+    rng.permuted(d, axis=1, out=d)
+    return d
 
 
 def kn_paths(spec, n_max: int, replicates: int, rng: np.random.Generator) -> np.ndarray:
     """Matrix of K_n values, shape (replicates, n_max): entry (r, i) counts
     the distinct allocations among the first i+1 draws of replicate r, so
-    every row is monotone and prefix-consistent.  It reads the same variates
-    as `sample_allocations`."""
-    d, pos = _arranged_allocations(spec, n_max, replicates, rng)
-    # a value is new at the earliest draw of its run in the sorted row
-    start = np.empty(d.size, dtype=bool)
-    np.not_equal(d.ravel()[1:], d.ravel()[:-1], out=start[1:])
-    start[::n_max] = True
-    runs = np.flatnonzero(start)
-    first = np.minimum.reduceat(pos.ravel(), runs)
-    kn = np.zeros(d.shape, dtype=np.int64)
-    kn.ravel()[runs - runs % n_max + first] = 1
-    return np.cumsum(kn, axis=1, out=kn)
+    every row is monotone and prefix-consistent.  Its last column is the
+    K_n that `sample_kn` reads at the same seed."""
+    return _first_arrival_paths(_sorted_allocations(spec, n_max, replicates, rng), rng)
 
 
 def sample_kn(spec, n: int, replicates: int, rng: np.random.Generator) -> KnSummary:

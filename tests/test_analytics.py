@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -25,6 +26,7 @@ from esbmix.analytics import (
     truncated_pair_mass,
     tv_distance,
     weight_ordering_c,
+    _first_arrival_paths,
     _symmetric_residual_moment,
 )
 from esbmix.eppf import Dirichlet, IdenticalDegenerate, IidDegenerate, PitmanYor
@@ -411,27 +413,71 @@ def test_sample_kn_support_and_mass():
                            if np.any(kn == k)}
 
 
-@pytest.mark.parametrize("theta", [0.5, 2.5])
-def test_sample_kn_matches_the_ewens_law(theta):
-    # iid Be(1, theta) lengths give the Dirichlet process, whose K_n follows
-    # the Ewens law P[K_n = k] = theta^k |s(n, k)| / (theta)_n; the unsigned
-    # Stirling numbers come from |s(m+1, k)| = m |s(m, k)| + |s(m, k-1)|
-    n, reps = 20, 200_000
+def _ewens_pmf(n, theta):
+    """P[K_n = k] for k = 0..n under iid Be(1, theta) lengths (the Dirichlet
+    process): the Ewens law theta^k |s(n, k)| / (theta)_n, with the unsigned
+    Stirling numbers from |s(m+1, k)| = m |s(m, k)| + |s(m, k-1)|."""
     stirling = [1]
     for m in range(n):
         stirling = [m * s + t for s, t in zip(stirling + [0], [0] + stirling)]
     rising = math.prod(theta + i for i in range(n))
-    exact = np.array([theta**k * stirling[k] / rising for k in range(n + 1)])
+    return np.array([theta**k * stirling[k] / rising for k in range(n + 1)])
+
+
+def _pooled_pearson(observed, expected):
+    """Pearson's statistic over the values expected at least 5 times, the
+    rest pooled into one cell, and its degrees of freedom."""
+    keep = expected >= 5
+    obs = np.append(observed[keep], observed[~keep].sum())
+    exp = np.append(expected[keep], expected[~keep].sum())
+    return float(np.sum((obs - exp) ** 2 / exp)), obs.size - 1
+
+
+@pytest.mark.parametrize("theta", [0.5, 2.5])
+def test_sample_kn_matches_the_ewens_law(theta):
+    n, reps = 20, 200_000
+    exact = _ewens_pmf(n, theta)
     assert exact.sum() == pytest.approx(1.0, rel=1e-12)
     pmf = sample_kn(IidBeta(1.0, theta), n, reps, np.random.default_rng(41)).pmf
     observed = np.array([pmf.get(k, 0.0) * reps for k in range(n + 1)])
-    # Pearson's statistic over the values expected at least 5 times, the
-    # rest pooled into one cell
-    keep = exact * reps >= 5
-    obs = np.append(observed[keep], observed[~keep].sum())
-    exp = np.append(exact[keep], exact[~keep].sum()) * reps
-    chi2 = float(np.sum((obs - exp) ** 2 / exp))
-    assert chi2 < stats.chi2.ppf(1 - 1e-4, df=obs.size - 1)
+    chi2, df = _pooled_pearson(observed, exact * reps)
+    assert chi2 < stats.chi2.ppf(1 - 1e-4, df=df)
+
+
+@pytest.mark.parametrize("theta", [0.5, 2.5])
+def test_kn_paths_columns_match_the_ewens_law(theta):
+    # path column m - 1 is K_m, the distinct values among the first m draws
+    n, reps = 50, 100_000
+    paths = kn_paths(IidBeta(1.0, theta), n, reps, np.random.default_rng(43))
+    for m in (20, 50):
+        observed = np.bincount(paths[:, m - 1], minlength=m + 1)
+        chi2, df = _pooled_pearson(observed, _ewens_pmf(m, theta) * reps)
+        assert chi2 < stats.chi2.ppf(1 - 1e-4, df=df)
+
+
+@pytest.mark.parametrize("row", [
+    [1, 1, 1, 2, 2, 3],
+    [1, 1, 1, 1, 1, 2],
+    [1, 1, 2, 2, 3, 3, 4],
+    [2, 2, 2, 7, 9, 9, 9, 9],
+], ids=["3-2-1", "5-1", "2-2-2-1", "3-1-4"])
+def test_first_arrival_paths_match_every_arrangement(row):
+    # the draws' order is uniform, so every distinct arrangement of a sorted
+    # row is equally likely; its K path counts the distinct labels of each
+    # prefix, and a path is read as the base-(n + 1) number with digit i K_i
+    n, reps = len(row), 200_000
+    arrangements = set(itertools.permutations(row))
+    digits = (n + 1) ** np.arange(n)
+    ref = np.array([[len(set(a[:i + 1])) for i in range(n)] for a in arrangements]) @ digits
+    values, law = np.unique(ref, return_counts=True)
+    d = np.tile(np.array(row, dtype=np.int64), (reps, 1))
+    got = _first_arrival_paths(d, np.random.default_rng(44)) @ digits
+    assert np.isin(got, values).all()
+    observed = np.bincount(np.searchsorted(values, got), minlength=values.size)
+    expected = law * reps / len(arrangements)
+    assert expected.min() >= 5
+    chi2 = float(np.sum((observed - expected) ** 2 / expected))
+    assert chi2 < stats.chi2.ppf(1 - 1e-4, df=values.size - 1)
 
 
 def test_sample_allocations_matches_sequential_reference():
@@ -493,20 +539,20 @@ def test_scalar_continuation_matches_exact_residual_mass(spec):
 @pytest.mark.parametrize("spec, n, reps, digest", [
     # vectorized pass only
     (IidBeta(1.0, 1.0), 20, 2000,
-     "e98c83cbe9d6cffa2ec0f5ebc0d3f70123a1ee7d1b4351e17156885098407725"),
+     "7503509477a71f4a404ab4bef2f3359de4feeb56ea79445f1adef30542dec562"),
     # iid scalar tail
     (IidBeta(20.0, 2000.0), 2, 200,
      "2e1d0ea45daa77ba905fa8d023276d3fecadc1440437ff479110c8bfaed1208e"),
     # CRP scalar tail, with single-class stretches and class joins
     (dsb(1 / 3, 1.0), 30, 3000,
-     "2e45fdff0ac8ba5db4ebd99e8667b1356198c3bddab301811852a08b686423ea"),
+     "4e0a8db2f394b6160046b8aff648ca3040a05ca823e67d3586397677e0b1cbe7"),
     # single-class closed form
     (dsb(0.01, 1.0), 10, 3000,
-     "8f372cc7de00ceeb977c981ecdfac67d2baa63848be22d71cbe86bf15e53d498"),
+     "37d9aaa6e79f1f53f4fbb8b44aa13fa3ec771e76922a572c3533f615eb4359fd"),
     (SpeciesDriven(PitmanYor(0.5, 1.0), 1.0, 1.0), 20, 2000,
-     "6291612a07d3bd3d00aa4335726b571726b0e3be6799c1c87573fbe97bb9daef"),
+     "250e77cd6a4a1101b6154ed5b03ef714ef71454350f3f0e0a3c3f2719574735f"),
     (SharedBeta(1.0, 1.0), 10, 5000,
-     "698cc61c41e1dadc92eb919a55e08f8b78421c6803d8fa242cdb8d5acab7b4f1"),
+     "703b6dedecf866d8e4ad724c568163b19c3efc990e0568db8fb2c89d1df26461"),
     # two chunks
     (IidBeta(1.0, 1.0), 2, 50_001,
      "f30dd4bf487ced2c629dae4a2f7a5034b6b873760c62b72e0eb6e0796ba56cb5"),
@@ -547,10 +593,10 @@ def test_kn_paths_prefix_consistent_monotone():
     assert np.all(np.diff(paths, axis=1) >= 0)
     assert np.all(paths[:, 0] == 1)
     assert np.all(paths <= np.arange(1, 31)[None, :])
-    # exactly the distinct counts of the same seeded allocations
+    # both draw the same sorted rows first, so K_30 is the distinct count of
+    # the same seeded allocations
     d = sample_allocations(dsb(0.5, 1.0), 30, 500, np.random.default_rng(34))
-    ref = [[len(set(row[: i + 1])) for i in range(30)] for row in d.tolist()]
-    assert np.array_equal(paths, ref)
+    assert np.array_equal(paths[:, -1], [len(set(row)) for row in d.tolist()])
 
 
 def test_kn_paths_memory_bounded_by_replicates_times_n():
@@ -578,19 +624,19 @@ def test_kn_paths_memory_bounded_by_replicates_times_n():
     (SharedBeta(1000.0, 1e9), np.uint32),
     (SharedBeta(1000.0, 1e13), np.uint64),
 ], ids=["uint8", "uint16", "uint32", "uint64"])
-def test_kn_paths_counts_distinct_values_in_each_rank_width(spec, width):
+def test_kn_paths_counts_distinct_large_labels(spec, width):
     n, reps = 12, 400
     d = sample_allocations(spec, n, reps, np.random.default_rng(36))
     assert np.min_scalar_type(d.max()) == width
     paths = kn_paths(spec, n, reps, np.random.default_rng(36))
-    ref = [[len(set(row[: i + 1])) for i in range(n)] for row in d.tolist()]
-    assert np.array_equal(paths, ref)
+    assert np.all(paths[:, 0] == 1)
+    assert np.all(np.isin(np.diff(paths, axis=1), (0, 1)))
+    assert np.array_equal(paths[:, -1], [len(set(row)) for row in d.tolist()])
 
 
 def test_kn_paths_peak_memory_per_point():
-    # the simulator writes each chunk's sorted rows in place and the
-    # arrangement is a permutation in the narrowest unsigned type, so the
-    # peak stays below 40 bytes per point
+    # the simulator writes each chunk's sorted rows in place, and the paths
+    # are written over them, so the peak stays below 40 bytes per point
     R, n = 5000, 200
     rng = np.random.default_rng(37)
     tracemalloc.start()
