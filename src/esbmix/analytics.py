@@ -439,7 +439,7 @@ def _log_no_new(j, s, beta, alpha):
     )
 
 
-def _finish_row_scalar(u_rest, cumw, j, classes, iid, beta, alpha, a, b, rng):
+def _finish_row_scalar(u_rest, j, classes, iid, beta, alpha, a, b, rng):
     """Scalar continuation for one row the vectorized pass left uncovered:
     given the row's uncovered slice points in ascending order, return their
     allocations.  Draws come from pre-generated blocks, which double from 64
@@ -453,6 +453,7 @@ def _finish_row_scalar(u_rest, cumw, j, classes, iid, beta, alpha, a, b, rng):
     n = len(u_rest)
     d = np.empty(n, dtype=np.int64)
     ptr = 0
+    cumw = 0.0
     total = float(sum(c for c, _ in classes))
     buf = pos = 0
     while ptr < n:
@@ -640,7 +641,7 @@ def _alloc_chunk_stream(spec, rng, d):
             classes = [[float(c), float(x)]
                        for c, x in zip(counts[ridx, :kk], slotvals[ridx, :kk])]
         r = int(left[ridx])
-        d[ridx, n - r:] = _finish_row_scalar(np.sort(rng.random(r)), 0.0, j, classes, iid,
+        d[ridx, n - r:] = _finish_row_scalar(np.sort(rng.random(r)), j, classes, iid,
                                              beta, alpha, a, b, rng)
     np.maximum.accumulate(d, axis=1, out=d)
 

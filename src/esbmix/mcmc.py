@@ -139,15 +139,11 @@ class UnivariateNormalGamma:
         z -= scaled
         return z
 
-    def pdf_grid(self, grid, atom):
-        m, tau = atom
-        g = np.asarray(grid, dtype=float).reshape(-1)
-        return np.sqrt(tau / (2.0 * math.pi)) * np.exp(-0.5 * tau * (g - m) ** 2)
-
     def log_prior_density(self, atom):
         m, tau = atom
         lp = 0.5 * (math.log(self.lam * tau) - LOG_2PI) - 0.5 * self.lam * tau * (m - self.mu0) ** 2
-        lp += self.a * math.log(self.b) - gammaln(self.a) + (self.a - 1.0) * math.log(tau) - self.b * tau
+        lp += (self.a * math.log(self.b) - gammaln(self.a)
+               + (self.a - 1.0) * math.log(tau) - self.b * tau)
         return float(lp)
 
 
@@ -306,9 +302,6 @@ class BivariateNormalInvWishart:
         y = np.asarray(data, dtype=float).reshape(-1, 2)
         mx, my, *scale = self._factors(atoms)
         return _log_normal2(y[:, 0] - mx[d], y[:, 1] - my[d], *(f[d] for f in scale))
-
-    def pdf_grid(self, grid, atom):
-        return np.exp(self.log_pdf_matrix(grid, [atom])[:, 0])
 
     def log_prior_density(self, atom):
         """log N2(m | mu0, Sigma/lam) + log IW(Sigma | psi, nu), where for
@@ -748,10 +741,10 @@ def _refresh_distinct_values(prefix, v, w, umax, spec, rng):
     Only the weights from the class's first position on change, so a trial
     computes those and stops at the first slice it violates: O(phi) float
     operations per shrink step.  The prefix's distinct values and the
-    lengths `v` and weights `w` (lists) are updated in place.  Shrinkage needs no step cap (Neal 2003): the bracket
-    always strictly holds the class's value x0, which lies in the slice, so
-    a draw of x0 itself ends the step, unchanged, once the bracket is a few
-    ulps wide.
+    lengths `v` and weights `w` (lists) are updated in place.  Shrinkage
+    needs no step cap (Neal 2003): the bracket always strictly holds the
+    class's value x0, which lies in the slice, so a draw of x0 itself ends
+    the step, unchanged, once the bracket is a few ulps wide.
     """
     a, b = spec.base_a, spec.base_b
     log_beta = betaln(a, b)
@@ -847,8 +840,7 @@ def update_rho(state: GibbsState, rng: np.random.Generator) -> GibbsState:
             return -np.inf
         return lp + math.log(rho) + math.log1p(-rho)  # logit Jacobian
 
-    rho0 = min(max(state.rho, 1e-12), 1.0 - 1e-12)
-    x0 = math.log(rho0 / (1.0 - rho0))
+    x0 = math.log(state.rho / (1.0 - state.rho))
     x1 = _slice_sample_logit(x0, log_f, rng)
     state.rho = 1.0 / (1.0 + math.exp(-x1))
     return state
@@ -908,29 +900,31 @@ def gibbs_sweep(
 
 def _admissibility_coefficients(sample: GibbsState) -> np.ndarray:
     """Per-component coefficient (1/n) sum_k 1{j in A_k} / |A_k| with
-    A_k = {j : u_k < w_j}."""
-    adm = sample.u[:, None] < sample.weights[None, :]
-    sizes = adm.sum(axis=1)
-    if np.any(sizes == 0):
+    A_k = {j : u_k < w_j}, the sticks heavier than u_k: prefix sums of
+    1/|A_k| over the sorted slices, with no n x phi array."""
+    u = np.sort(sample.u)
+    w = sample.weights
+    sizes = len(w) - np.searchsorted(np.sort(w), u, side="right")
+    if sizes[-1] == 0:
         raise RuntimeError("a datum has no admissible component")
-    return (adm / sizes[:, None]).sum(axis=0) / len(sample.u)
+    share = np.concatenate(([0.0], np.cumsum(1.0 / sizes)))
+    return share[np.searchsorted(u, w, side="left")] / len(u)
 
 
 def eap_density(samples: Sequence[GibbsState], kernel: MixtureKernel, grid) -> np.ndarray:
     """Expected-a-posteriori density on the grid: the average over sweeps and
-    data of the admissible-component mixture."""
+    data of the admissible-component mixture, one log_pdf_matrix call per
+    sweep over the components with a positive coefficient."""
     if len(samples) == 0:
         raise ValueError("need at least one retained sweep")
     grid = np.asarray(grid, dtype=float)
-    npts = grid.shape[0]
-    out = np.zeros(npts)
+    out = np.zeros(grid.shape[0])
     for sample in samples:
         coef = _admissibility_coefficients(sample)
-        dens = np.zeros(npts)
-        for j, c in enumerate(coef):
-            if c > 0.0:
-                dens += c * kernel.pdf_grid(grid, sample.atoms[j])
-        out += dens
+        used = np.flatnonzero(coef)
+        dens = kernel.log_pdf_matrix(grid, [sample.atoms[j] for j in used])
+        np.exp(dens, out=dens)
+        out += dens @ coef[used]
     return out / len(samples)
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import betainc, betaincinv
 
+from esbmix import mcmc
 from esbmix.analytics import sample_kn
 from esbmix.eppf import Dirichlet, IdenticalDegenerate, IidDegenerate, PitmanYor
 from esbmix.mcmc import (
@@ -864,6 +865,20 @@ def test_rho_step_out_from_the_extremes():
             assert 0.0 < state.rho < 1.0
 
 
+def test_rho_move_starts_at_the_chain_state(monkeypatch):
+    # the move starts from the chain's own rho, however close to 0 it is
+    starts = []
+
+    def recording(x0, log_f, rng):
+        starts.append(x0)
+        return _slice_sample_logit(x0, log_f, rng)
+
+    monkeypatch.setattr(mcmc, "_slice_sample_logit", recording)
+    state = make_state([0.3, 0.4], [0, 1], [], [], [], rho=1e-15)
+    update_rho(state, np.random.default_rng(15))
+    assert starts == [math.log(1e-15 / (1.0 - 1e-15))]
+
+
 def test_rho_slice_kernel_matches_grid_oracle():
     # fixed (m, K): long slice-chain histogram vs a 2000-point grid
     # discretization of the same density
@@ -936,8 +951,96 @@ def test_eap_density_single_component():
     state = make_state([0.9], [0], [0.3], [0], [(1.0, 2.0)])
     grid = np.linspace(-5, 5, 101)
     dens = eap_density([state], kern, grid)
-    assert dens == pytest.approx(kern.pdf_grid(grid, (1.0, 2.0)))
+    # N(1, 1/2): sqrt(2 / (2 pi)) exp(-(x - 1)^2)
+    assert dens == pytest.approx(np.exp(-(grid - 1.0) ** 2) / math.sqrt(math.pi))
     assert np.all(dens >= 0.0)
+
+
+def _dense_admissibility_coefficients(u, w):
+    """The n x phi mask form: (1/n) sum_k 1{u_k < w_j} / |A_k|."""
+    adm = u[:, None] < w[None, :]
+    sizes = adm.sum(axis=1)
+    return (adm / sizes[:, None]).sum(axis=0) / len(u)
+
+
+@st.composite
+def admissibility_inputs(draw):
+    phi = draw(st.integers(1, 20))
+    # a small pool makes ties common, and 0.0 stands for an underflowed weight
+    weight = st.one_of(st.sampled_from([0.0, 0.4, 0.1, 0.1 / 3, 1e-3]), st.floats(1e-9, 1.0))
+    weights = draw(st.lists(weight, min_size=phi, max_size=phi))
+    top = max(weights)
+    assume(top > 0.0)
+    n = draw(st.integers(1, 30))
+    fraction = st.floats(0.0, 1.0, exclude_max=True)
+    below_top = [min(f * top, np.nextafter(top, 0.0))
+                 for f in draw(st.lists(fraction, min_size=n, max_size=n))]
+    # slices equal to a lighter weight, which then leaves that stick out
+    lighter = [w for w in weights if w < top]
+    equal = draw(st.lists(st.sampled_from([None] + lighter), min_size=n, max_size=n))
+    u = [x if w is None else w for x, w in zip(below_top, equal)]
+    return np.array(u), np.array(weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(admissibility_inputs())
+def test_admissibility_coefficients_match_the_dense_mask(inputs):
+    u, weights = inputs
+    state = GibbsState(u=u, d=np.zeros(len(u), dtype=np.int64), lengths=LengthPrefix(),
+                       weights=weights, atoms=[])
+    got = mcmc._admissibility_coefficients(state)
+    np.testing.assert_allclose(got, _dense_admissibility_coefficients(u, weights),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_no_admissible_component_raises():
+    kern = UnivariateNormalGamma(0.0, 1.0, 1.0, 1.0)
+    # weights (0.5, 0.3): the slice 0.5 admits neither stick
+    for u in ([0.2, 0.5], [0.7, 0.1]):
+        state = make_state([0.5, 0.6], [0, 1], u, [0, 0], [(0.0, 1.0), (1.0, 1.0)])
+        with pytest.raises(RuntimeError, match="no admissible component"):
+            eap_density([state], kern, np.linspace(-1.0, 1.0, 5))
+        with pytest.raises(RuntimeError, match="no admissible component"):
+            cluster_assign(state, np.array([0.0, 0.5]), kern)
+
+
+@pytest.mark.parametrize("kernel", [UNIVARIATE, BIVARIATE], ids=["univariate", "bivariate"])
+def test_eap_density_matches_the_component_sum(kernel):
+    rng = np.random.default_rng(19)
+    if kernel.dim == 1:
+        grid = np.linspace(-4.0, 4.0, 41)
+
+        def pdf(atom):
+            m, tau = atom
+            return np.sqrt(tau / (2.0 * math.pi)) * np.exp(-0.5 * tau * (grid - m) ** 2)
+    else:
+        grid = rng.normal(size=(60, 2)) * 2.0
+
+        def pdf(atom):
+            return stats.multivariate_normal.pdf(grid, atom[0], atom[1])
+
+    phi, n = 6, 25
+    samples = []
+    for _ in range(4):
+        values = list(rng.uniform(0.1, 0.6, phi))
+        u = rng.uniform(0.0, sb_transform(values).max(), n)
+        atoms = []
+        for _ in range(phi):
+            if kernel.dim == 1:
+                atoms.append((rng.normal(0.0, 1.5), rng.uniform(0.5, 2.0)))
+            else:
+                s1, s2 = rng.uniform(0.5, 2.0, 2)
+                c = rng.uniform(-0.5, 0.5) * math.sqrt(s1 * s2)
+                atoms.append((rng.normal(0.0, 1.5, 2), np.array([[s1, c], [c, s2]])))
+        samples.append(make_state(values, list(range(phi)), u, np.zeros(n, dtype=np.int64),
+                                  atoms))
+    ref = np.zeros(len(grid))
+    for sample in samples:
+        coef = _dense_admissibility_coefficients(sample.u, sample.weights)
+        for c, atom in zip(coef, sample.atoms):
+            ref += c * pdf(atom)
+    ref /= len(samples)
+    np.testing.assert_allclose(eap_density(samples, kernel, grid), ref, rtol=1e-12, atol=0.0)
 
 
 def test_eap_density_integrates_to_one():
@@ -1078,9 +1181,6 @@ def test_bivariate_densities_match_scipy(kern):
     for j, (m, sigma) in enumerate(atoms):
         ref = stats.multivariate_normal.logpdf(y, m, sigma)
         assert np.all(np.abs(logp[:, j] - ref) <= 1e-11 * (1.0 + np.abs(ref)))
-    for m, sigma in atoms[:20]:
-        ref = stats.multivariate_normal.pdf(y, m, sigma)
-        np.testing.assert_allclose(kern.pdf_grid(y, (m, sigma)), ref, rtol=1e-11, atol=0.0)
     d = rng.integers(0, len(atoms), size=len(y))
     assert np.array_equal(kern.log_pdf_at(y, atoms, d), logp[np.arange(len(y)), d])
 
