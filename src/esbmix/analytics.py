@@ -206,10 +206,11 @@ def conditional_ordering_probability_dsb(prefix: LengthPrefix, beta: float, thet
 
 class _SubsetTable:
     """Subsets of {1..k} as bitmasks, with every (S, T) pair the allocation
-    recurrence visits: S has at least two elements and T is a proper subset
-    of S holding the least element of S.  The pairs are grouped by S:
-    group g covers pairs starts[g]..starts[g]+sizes[g]-1 and belongs to
-    owners[g]; rest = S minus T.  There are about 3^k / 2 pairs."""
+    recurrence visits: S has at least two elements and T is a subset of S
+    holding the least element of S.  The pairs are grouped by S, and the
+    groups by the size of S: group g covers pairs
+    starts[g]..starts[g]+sizes[g]-1, belongs to owners[g] and ends with
+    T = S; rest = S minus T.  There are about 3^k / 2 pairs."""
 
     def __init__(self, k: int):
         masks = np.arange(1 << k)
@@ -221,9 +222,9 @@ class _SubsetTable:
             low = s & -s
             # positions of the other size-1 elements of each S, ascending
             pos = np.nonzero(self.bits[s ^ low])[1].reshape(len(s), size - 1)
-            # proper subsets of those elements: spread the binary digits of
-            # 0 .. 2^(size-1) - 2 over the positions
-            digits = (np.arange((1 << (size - 1)) - 1)[:, None] >> np.arange(size - 1)) & 1
+            # subsets of those elements: spread the binary digits of
+            # 0 .. 2^(size-1) - 1 over the positions
+            digits = (np.arange(1 << (size - 1))[:, None] >> np.arange(size - 1)) & 1
             t = (np.left_shift(1, pos) @ digits.T) | low[:, None]
             blocks.append(t.ravel())
             rests.append((s[:, None] ^ t).ravel())
@@ -259,25 +260,49 @@ def allocation_probability(d, model: EppfModel, base_a: float, base_b: float) ->
     and P = sum_m V(k, m) f_m[{1..k}].  Every term is positive, so the sums
     run in log space without cancellation.  The cost is O(k 3^k), against
     Bell(k) EPPF evaluations for term-by-term enumeration
-    (`allocation_probability_dsb`).  k must not exceed ENUMERATION_CAP; use
-    allocation_probability_mc beyond it.
+    (`allocation_probability_dsb`).  For the Dirichlet family V(k, m) =
+    beta^m / (beta)_k factors over blocks too, so one pass over the subsets,
+    by size, builds g[S] = sum_m beta^m f_m[S] in O(3^k).  k must not exceed
+    ENUMERATION_CAP; use allocation_probability_mc beyond it.
     """
     _check_base_shapes(base_a, base_b)
     av = d if isinstance(d, AllocationVector) else AllocationVector(tuple(d))
-    k = av.k
-    if k > ENUMERATION_CAP:
+    if av.k > ENUMERATION_CAP:
         raise ValueError(
-            f"k={k} exceeds the partition-sum cap {ENUMERATION_CAP}; "
+            f"k={av.k} exceeds the partition-sum cap {ENUMERATION_CAP}; "
             "use allocation_probability_mc"
         )
+    return math.exp(_log_partition_sum(av.r, av.t, model, base_a, base_b))
+
+
+def _log_partition_sum(r, t, model: EppfModel, base_a: float, base_b: float) -> float:
+    """log P[d] from d's occupancy statistics r and t (`AllocationVector`),
+    on which alone it depends; see `allocation_probability`."""
+    k = len(r)
     table = _subset_table(k)
     log_v, log_w_size = model.log_gibbs_factors(k)
     # block weights log w[T]; the empty set has none
     log_w = np.full(1 << k, NEG_INF)
     log_w[1:] = (log_w_size[table.count[1:] - 1]
-                 + betaln(base_a + table.bits[1:] @ av.r, base_b + table.bits[1:] @ av.t)
+                 + betaln(base_a + table.bits[1:] @ r, base_b + table.bits[1:] @ t)
                  - betaln(base_a, base_b))
     full = (1 << k) - 1
+    if isinstance(model, Dirichlet):
+        # g[S] = sum over T subset of S holding min(S) of beta w[T] g[S \ T],
+        # g[{}] = 1; the pairs of one subset size need only smaller subsets
+        log_beta = math.log(model.beta)
+        g = log_beta + log_w
+        g[0] = 0.0
+        owner = pair = 0
+        for size in range(2, k + 1):
+            owners = table.owners[owner:owner + math.comb(k, size)]
+            end = pair + (len(owners) << (size - 1))
+            vals = (log_w[table.blocks[pair:end]]
+                    + g[table.rests[pair:end]]).reshape(len(owners), -1)
+            shift = vals.max(axis=1)
+            g[owners] = log_beta + shift + np.log(np.exp(vals - shift[:, None]).sum(axis=1))
+            owner, pair = owner + len(owners), end
+        return float(g[full]) - log_rising_factorial(model.beta, k)
     f = log_w  # f_1: a single block holds all of S
     terms = [log_v[0] + f[full]]
     last = int(np.flatnonzero(np.isfinite(log_v))[-1]) + 1
@@ -290,7 +315,7 @@ def allocation_probability(d, model: EppfModel, base_a: float, base_b: float) ->
         with np.errstate(divide="ignore"):
             f[table.owners] = shift + np.log(total)
         terms.append(log_v[m - 1] + f[full])
-    return float(np.exp(logsumexp(terms)))
+    return float(logsumexp(terms))
 
 
 def enumerate_partitions(k: int) -> Iterator[tuple]:

@@ -433,7 +433,8 @@ def cmd_fit(config, args, rng):
         "n_observations": len(data),
         "prior": prior_label,
         "map_sample_index": map_idx,
-        "invariant_checks": {"infeasible_slice_updates": result.infeasible_slices,
+        "map_unscored_samples": result.unscored_samples,
+        "invariant_checks": {"class_value_redraws": result.infeasible_slices,
                              "state_validated_each_sweep": args.check_invariants},
     }
     if random_rho:

@@ -1,28 +1,27 @@
 """Slice-within-Gibbs sampler for mixture density estimation under
 stick-breaking priors with exchangeable length variables.
 
-One sweep updates: slice variables, the truncation level (extending sticks
-and atoms as far as the slices require), length variables (with their tie
-structure), allocations, kernel atoms, and optionally the tie probability.
-The length conditionals read the slices only through the per-stick maxima
-U_max[l] = max{u_k : d_k = l}, so they cost O(phi) per stick, not O(n).  The
-length step runs on Python floats: after the O(n) pass for the maxima, a call
-costs O(phi^2) scalar operations for the per-position conditionals plus at
-most O(phi) per tie-class refresh trial, with no array built per move.
+One sweep updates: the length variables of the sticks up to the last
+occupied one (their tie partition and class values, drawn given the
+allocations with the slices integrated out), label swaps of adjacent
+sticks, slice variables, the truncation level (extending sticks and atoms
+as far as the slices require), allocations, kernel atoms, and optionally
+the tie probability.  The length step reads the data only through the
+per-stick counts, and costs O(k^2) scalar operations for those k sticks.
 Posterior summaries (EAP density, MAP sweep, clusters, K_n) are computed
-from retained sweeps.
+from retained sweeps; the MAP sweep is the one with the highest collapsed
+score log P[d | rho] + sum_j log m(y_j).
 """
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import betainc, betaincinv, betaln, gammaln, xlog1py, xlogy
+from scipy.special import betaln, gammaln, xlog1py, xlogy
 
-from .analytics import KnSummary
-from .eppf import IdenticalDegenerate
+from .analytics import ENUMERATION_CAP, KnSummary, _log_partition_sum
 from .sticks import (
     LengthPrefix,
     SpeciesDriven,
@@ -138,6 +137,12 @@ class UnivariateNormalGamma:
         np.take(lognorm, d, out=z)
         z -= scaled
         return z
+
+    def log_marginal(self, ys):
+        """log marginal likelihood of one block of data, the atom integrated out."""
+        mu_n, lam_n, a_n, b_n = self.posterior_params(ys)
+        return (math.lgamma(a_n) - math.lgamma(self.a) + 0.5 * math.log(self.lam / lam_n)
+                + self.a * math.log(self.b) - a_n * math.log(b_n) - 0.5 * len(ys) * LOG_2PI)
 
     def log_prior_density(self, atom):
         m, tau = atom
@@ -303,6 +308,18 @@ class BivariateNormalInvWishart:
         mx, my, *scale = self._factors(atoms)
         return _log_normal2(y[:, 0] - mx[d], y[:, 1] - my[d], *(f[d] for f in scale))
 
+    def log_marginal(self, ys):
+        """log marginal likelihood of one block of data, the atom integrated
+        out: pi^-m Gamma_2(nu_n/2) / Gamma_2(nu/2) |psi|^(nu/2) / |psi_n|^(nu_n/2) lam / lam_n."""
+        _, lam_n, psi_n, nu_n = self.posterior_params(np.asarray(ys, dtype=float).reshape(-1, 2))
+        psi, nu = self._psi(), self.nu
+        log_det = math.log(psi[0, 0] * psi[1, 1] - psi[0, 1] * psi[1, 0])
+        log_det_n = math.log(psi_n[0, 0] * psi_n[1, 1] - psi_n[0, 1] * psi_n[1, 0])
+        return (math.lgamma(0.5 * nu_n) + math.lgamma(0.5 * nu_n - 0.5)
+                - math.lgamma(0.5 * nu) - math.lgamma(0.5 * nu - 0.5)
+                + 0.5 * (nu * log_det - nu_n * log_det_n) + math.log(self.lam / lam_n)
+                - (nu_n - nu) * math.log(math.pi))
+
     def log_prior_density(self, atom):
         """log N2(m | mu0, Sigma/lam) + log IW(Sigma | psi, nu), where for
         p = 2: log IW = (nu/2) log|psi| - nu log 2 - log Gamma_2(nu/2)
@@ -390,7 +407,9 @@ class FitConfig:
 @dataclass
 class GibbsState:
     """All latent state of one chain. d is 0-based; weights is the cached
-    stick-breaking transform of the length values."""
+    stick-breaking transform of the length values; infeasible_slices counts
+    the class values `update_lengths` redrew; map_score is the collapsed
+    score `fit` stores on a retained snapshot (`map_select`)."""
 
     u: np.ndarray
     d: np.ndarray
@@ -400,6 +419,7 @@ class GibbsState:
     rho: Optional[float] = None
     log_score: float = float("nan")
     infeasible_slices: int = 0
+    map_score: float = float("nan")
 
     @property
     def phi(self) -> int:
@@ -409,16 +429,8 @@ class GibbsState:
         return int(np.count_nonzero(np.bincount(self.d))) if len(self.d) else 0
 
     def snapshot(self) -> "GibbsState":
-        return GibbsState(
-            u=self.u.copy(),
-            d=self.d.copy(),
-            lengths=self.lengths.copy(),
-            weights=self.weights.copy(),
-            atoms=list(self.atoms),
-            rho=self.rho,
-            log_score=self.log_score,
-            infeasible_slices=self.infeasible_slices,
-        )
+        return replace(self, u=self.u.copy(), d=self.d.copy(), lengths=self.lengths.copy(),
+                       weights=self.weights.copy(), atoms=list(self.atoms))
 
     def validate(self) -> None:
         self.lengths.validate()
@@ -521,21 +533,22 @@ def ensure_truncation(
     return state
 
 
+def _blocks(data, d, phi):
+    """The data of each of the phi sticks in data order, by one stable sort
+    by allocation.  Labels in the narrowest type that holds them make the
+    sort a radix sort (up to 65536 sticks)."""
+    counts = np.bincount(d, minlength=phi)
+    order = np.argsort(d.astype(np.min_scalar_type(len(counts))), kind="stable")
+    return np.split(data[order], np.cumsum(counts)[:-1])
+
+
 def update_atoms(state: GibbsState, data, kernel: MixtureKernel, rng) -> GibbsState:
     """Draw each stick's atom from its conjugate posterior given the data
     allocated to it; an empty stick takes a prior draw.  One stable sort by
     allocation lays every block out contiguously in data order."""
-    data = np.asarray(data, dtype=float)
-    counts = np.bincount(state.d, minlength=state.phi)
-    # labels in the narrowest type that holds them make the stable sort a
-    # radix sort (up to 65536 sticks)
-    labels = state.d.astype(np.min_scalar_type(len(counts)))
-    blocks = data[np.argsort(labels, kind="stable")]
-    ends = np.cumsum(counts)
-    start = 0
-    for j in range(state.phi):
-        state.atoms[j] = kernel.sample_posterior(blocks[start:ends[j]], rng)
-        start = ends[j]
+    blocks = _blocks(np.asarray(data, dtype=float), state.d, state.phi)
+    for j, ys in enumerate(blocks):
+        state.atoms[j] = kernel.sample_posterior(ys, rng)
     return state
 
 
@@ -591,207 +604,132 @@ def update_allocations(state: GibbsState, data, kernel: MixtureKernel, rng) -> G
     return state
 
 
-def _beta_log_kernel(x, a, b):
-    """log Be(x | a, b) + log B(a, b)."""
-    return xlog1py(b - 1.0, -x) + xlogy(a - 1.0, x)
-
-
 def _beta_logpdf(x, a, b):
     """log Be(x | a, b), the expression scipy.stats.beta evaluates."""
-    return _beta_log_kernel(x, a, b) - betaln(a, b)
+    return xlog1py(b - 1.0, -x) + xlogy(a - 1.0, x) - betaln(a, b)
 
 
-def _slice_maxima(state: GibbsState) -> np.ndarray:
-    """U_max[l] = max{u_k : d_k = l} per instantiated stick, 0 on sticks that
-    hold no datum (every slice is positive).  The length conditionals depend
-    on the slices only through these maxima (Kalli, Griffin & Walker 2011)."""
-    umax = np.zeros(state.phi)
-    np.maximum.at(umax, state.d, state.u)
-    return umax
-
-
-def _ratio(num, den):
-    """num / den for num > 0, inf when den has underflowed to 0 (as numpy
-    divides; Python floats would raise)."""
-    return num / den if den > 0.0 else math.inf
-
-
-def length_conditional_options(spec: SpeciesDriven, distinct, counts_minus, a_j, b_j):
-    """Mixture weights of one stick's full conditional on the interval
-    (a_j, b_j): one entry per other-stick distinct value (masked to the
-    interval), then the truncated-base branch mass.
-
-    Returns (active slot ids, option weights, cdf at a_j, cdf at b_j); the
-    last option weight is the new-value branch.
-    """
-    active = [s for s in range(len(distinct)) if counts_minus[s] > 0]
-    existing, new_w = spec.eppf.prediction_weights([counts_minus[s] for s in active])
-    cdf_a = float(betainc(spec.base_a, spec.base_b, a_j))
-    cdf_b = float(betainc(spec.base_a, spec.base_b, b_j))
-    opt_w = [
-        float(existing[i]) if a_j < distinct[s] < b_j else 0.0
-        for i, s in enumerate(active)
-    ]
-    opt_w.append(float(new_w) * (cdf_b - cdf_a))
-    return active, opt_w, cdf_a, cdf_b
-
-
-def _resample_position(prefix: LengthPrefix, j, a_j, b_j, spec: SpeciesDriven, rng) -> bool:
-    """Draw position j of the prefix from its full conditional on (a_j, b_j),
-    in place.  False, with the prefix as it was, when the conditional is
-    numerically empty or no free double is left in the interval."""
-    distinct, counts = prefix.distinct, prefix.counts
-    slot_j = prefix.atom_index[j]
-    counts[slot_j] -= 1
-    active, opt_w, cdf_a, cdf_b = length_conditional_options(spec, distinct, counts, a_j, b_j)
-    total = sum(opt_w)
-    if total <= 0.0:
-        counts[slot_j] += 1
-        return False
-
-    pick = rng.random() * total
-    acc = 0.0
-    choice = len(opt_w) - 1
-    for i, wgt in enumerate(opt_w):
-        acc += wgt
-        if pick < acc:
-            choice = i
-            break
-
-    if choice < len(active):
-        new_slot = active[choice]
-    else:
-        q = cdf_a + rng.random() * (cdf_b - cdf_a)
-        new_val = float(betaincinv(spec.base_a, spec.base_b, q))
-        hi = math.nextafter(b_j, 0.0)
-        new_val = min(max(new_val, math.nextafter(a_j, 1.0), 1e-300), hi)
-        # emptied slots are dropped at the end, so only live values collide
-        taken = {x for x, c in zip(distinct, counts) if c > 0}
-        while new_val in taken and new_val < hi:
-            new_val = math.nextafter(new_val, 1.0)
-        if new_val in taken:
-            counts[slot_j] += 1
-            return False
-        new_slot = len(distinct)
-        distinct.append(new_val)
-        counts.append(0)
-    counts[new_slot] += 1
-    prefix.atom_index[j] = new_slot
-    return True
+def _log_beta(x, y):
+    return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
 
 
 def update_lengths(state: GibbsState, spec: SpeciesDriven, rng: np.random.Generator) -> GibbsState:
-    """Resample each length variable from its full conditional: a mixture of
-    point masses at the other sticks' distinct values and a truncated Beta,
-    restricted to the interval the slice indicators leave open; then refresh
-    each tie class's value (`_refresh_distinct_values`).
+    """Draw the lengths of the sticks up to the last occupied one,
+    k = max d + 1, given the allocations, with the slices and the later
+    sticks integrated out: a partially collapsed Gibbs step (van Dyk & Park
+    2008).
 
-    The step runs on Python floats: the slice maxima, lengths and weights
-    are read into lists once, and a move at position j recomputes the
-    weights from j on only."""
-    prefix = state.lengths
-    phi = len(prefix)
-    umax = _slice_maxima(state).tolist()
-    v = prefix.values.tolist()
-    w = state.weights.tolist()
+    With r_j the data on stick j, t_j those on later sticks, and N_s, M_s
+    their sums over tie class s, the partition has the law
+    p(pi | d) ∝ EPPF(pi) prod_s B(a + N_s, b + M_s) / B(a, b).  One pass of
+    Neal's (2000) algorithm 3 moves each position j: it joins class s (sums
+    without j) with weight existing_s B(a+N_s+r_j, b+M_s+t_j) / B(a+N_s, b+M_s)
+    or opens one with weight new_w B(a+r_j, b+t_j) / B(a, b), (existing,
+    new_w) the prediction-rule weights.  Each class value is then drawn
+    exactly from Be(a + N_s, b + M_s), and redrawn, counted in
+    infeasible_slices, if it rounds onto 0 or 1 or equals another's.  The
+    sticks past k are drawn again from the prediction rule, as many as there
+    were, keeping their atoms: given d those are prior draws apart from the
+    lengths."""
+    a, b = spec.base_a, spec.base_b
+    n = len(state.d)
+    k = int(state.d.max()) + 1 if n else 1
+    r = np.bincount(state.d, minlength=k)
+    t = (n - np.cumsum(r)).tolist()
+    r = r.tolist()
+    prefix = _truncate_prefix(state.lengths, k)
+    slots, counts = prefix.atom_index, prefix.counts
+    sum_r, sum_t = [0] * len(counts), [0] * len(counts)
+    for s, r_j, t_j in zip(slots, r, t):
+        sum_r[s] += r_j
+        sum_t[s] += t_j
+    # log B(a + N_s, b + M_s) per slot, kept current as positions move
+    log_b = [_log_beta(a + n_s, b + m_s) for n_s, m_s in zip(sum_r, sum_t)]
+    log_b0 = _log_beta(a, b)
 
-    # a single shared value: the per-position conditionals are point masses
-    # at the current value, so only the joint class refresh can move it
-    if not (isinstance(spec.eppf, IdenticalDegenerate) and len(prefix.distinct) == 1):
-        work = prefix.copy()
-        later = [l for l in range(phi) if umax[l] > 0.0]  # occupied sticks after j
-        prefix_prod = 1.0  # prod_{i<j} (1 - v_i)
-        for j in range(phi):
-            if later and later[0] == j:
-                later = later[1:]
-            # interval (a_j, b_j) keeping every slice indicator satisfied;
-            # empty sticks are left out, their weights may have underflowed to 0
-            a_j = _ratio(umax[j], prefix_prod) if umax[j] > 0.0 else 0.0
-            b_j = 1.0
-            if later:
-                b_j = 1.0 - (1.0 - v[j]) * max([_ratio(umax[l], w[l]) for l in later])
-            if not (math.nextafter(a_j, 1.0) < b_j  # some double strictly inside
-                    and _resample_position(work, j, a_j, b_j, spec, rng)):
-                state.infeasible_slices += 1
-            elif work.distinct[work.atom_index[j]] != v[j]:
-                v[j] = work.distinct[work.atom_index[j]]
-                # sb_transform's sequential products from j on: the same bits
-                prod = prefix_prod
-                for l in range(j, phi):
-                    w[l] = v[l] * prod
-                    prod *= 1.0 - v[l]
-            prefix_prod *= 1.0 - v[j]
-        # drop emptied slots, renumbering in order of first appearance
-        state.lengths = _truncate_prefix(work, phi)
+    def move(j, s, sign):
+        counts[s] += sign
+        sum_r[s] += sign * r[j]
+        sum_t[s] += sign * t[j]
+        log_b[s] = _log_beta(a + sum_r[s], b + sum_t[s])
 
-    _refresh_distinct_values(state.lengths, v, w, umax, spec, rng)
-    state.weights = np.array(w)
+    for j, (r_j, t_j) in enumerate(zip(r, t)):
+        move(j, slots[j], -1)
+        active = [c for c, m in enumerate(counts) if m]
+        existing, new_w = spec.eppf.prediction_weights([counts[c] for c in active])
+        logs = [math.log(p) + _log_beta(a + sum_r[c] + r_j, b + sum_t[c] + t_j) - log_b[c]
+                if p > 0.0 else -math.inf for c, p in zip(active, existing.tolist())]
+        logs.append(math.log(new_w) + _log_beta(a + r_j, b + t_j) - log_b0
+                    if new_w > 0.0 else -math.inf)
+        top = max(logs)
+        weights = [math.exp(x - top) for x in logs]
+        # pick < sum(weights), the last running sum, so the loop always breaks
+        pick = rng.random() * sum(weights)
+        acc = 0.0
+        for choice, weight in enumerate(weights):
+            acc += weight
+            if pick < acc:
+                break
+        s = slots[j]
+        if choice < len(active):
+            s = active[choice]
+        elif counts[s]:  # a new class, in position j's own slot if j left it empty
+            s = len(counts)
+            for seq in (prefix.distinct, counts, sum_r, sum_t, log_b):
+                seq.append(0)
+        slots[j] = s
+        move(j, s, 1)
+
+    drawn = []
+    for s in dict.fromkeys(slots):  # the classes in order of first appearance
+        x = rng.beta(a + sum_r[s], b + sum_t[s])
+        while not 0.0 < x < 1.0 or x in drawn:
+            state.infeasible_slices += 1
+            x = rng.beta(a + sum_r[s], b + sum_t[s])
+        drawn.append(x)
+        prefix.distinct[s] = x
+    # drop emptied slots, renumbering in order of first appearance
+    prefix = _truncate_prefix(prefix, k)
+    if state.phi > k:
+        _extend(prefix, spec, state.phi - k, rng)
+    state.lengths = prefix
+    state.weights = sb_transform(prefix.values)
     return state
 
 
-def _refresh_distinct_values(prefix, v, w, umax, spec, rng):
-    """Resample each tie class's value from the base density restricted by
-    the slice indicators, moving all positions of the class together.
-
-    Given the tie pattern, the distinct values are iid from the base measure
-    times the indicator constraints, so this is an exact conditional update.
-    Without it a class can only change value by dissolving; in particular the
-    single-block (Geometric) case would never move its shared length at all.
-    A trial value is feasible when every occupied stick keeps U_max[l] < w_l.
-    Only the weights from the class's first position on change, so a trial
-    computes those and stops at the first slice it violates: O(phi) float
-    operations per shrink step.  The prefix's distinct values and the
-    lengths `v` and weights `w` (lists) are updated in place.  Shrinkage
-    needs no step cap (Neal 2003): the bracket always strictly holds the
-    class's value x0, which lies in the slice, so a draw of x0 itself ends
-    the step, unchanged, once the bracket is a few ulps wide.
-    """
-    a, b = spec.base_a, spec.base_b
-    log_beta = betaln(a, b)
-    for slot, x0 in enumerate(prefix.distinct):
-        start = prefix.atom_index.index(slot)
-        in_class = [s == slot for s in prefix.atom_index[start:]]
-        prod = 1.0  # prod_{i<start} (1 - v_i), which no trial changes
-        for x in v[:start]:
-            prod *= 1.0 - x
-        level = _beta_log_kernel(x0, a, b) - log_beta - rng.exponential()
-        left, right = 0.0, 1.0
-        while True:
-            x1 = left + rng.random() * (right - left)
-            if x1 == x0:
-                break
-            # the draw can round onto an end of (0, 1), where the density
-            # may be infinite; a length must stay strictly inside
-            if (0.0 < x1 < 1.0
-                    and x1 not in prefix.distinct
-                    and _beta_log_kernel(x1, a, b) - log_beta > level):
-                trial = _class_trial(x1, in_class, v[start:], umax[start:], prod)
-                if trial is not None:
-                    prefix.distinct[slot] = x1
-                    v[start:] = [x1 if member else x for member, x in zip(in_class, v[start:])]
-                    w[start:] = trial
-                    break
-            if x1 < x0:
-                left = x1
-            else:
-                right = x1
-
-
-def _class_trial(x, in_class, values, slices, prod):
-    """Weights of the sticks holding `values`, the class members set to x,
-    after sticks that leave the residual prod, by sb_transform's sequential
-    products; None at the first occupied stick whose slice maximum they do
-    not exceed."""
-    out = []
-    for member, value, s in zip(in_class, values, slices):
-        if member:
-            value = x
-        weight = value * prod
-        if s >= weight and s > 0.0:
-            return None
-        out.append(weight)
-        prod *= 1.0 - value
-    return out
+def _swap_labels(state: GibbsState, spec: SpeciesDriven, kernel: MixtureKernel,
+                 rng: np.random.Generator) -> None:
+    """Label swaps (Papaspiliopoulos & Roberts 2008) with the slices
+    integrated out: for j = 0, 1, ... in turn, sticks j and j + 1 exchange
+    lengths, atoms and data labels with probability
+    min(1, (1 - v_{j+1})^{n_j} / (1 - v_j)^{n_{j+1}}), the lengths being
+    exchangeable.  Two empty sticks are left as they are, so the scan ends
+    at the last occupied stick, drawing one more stick and atom from the
+    prior if a cluster moves past the instantiated ones.  An empty stick
+    before an occupied one always swaps, so clusters close up the empty
+    sticks that the length step leaves short between them."""
+    n = np.bincount(state.d, minlength=state.phi).tolist()
+    slots, values = state.lengths.atom_index, state.lengths.distinct
+    at = list(range(state.phi))  # the stick now at each position
+    j = 0
+    while any(n[j:]):
+        if j + 1 == len(at):
+            _extend(state.lengths, spec, 1, rng)
+            state.atoms.append(kernel.sample_prior(rng))
+            n.append(0)
+            at.append(j + 1)
+        if n[j] or n[j + 1]:
+            log_r = (n[j] * math.log1p(-values[slots[j + 1]])
+                     - n[j + 1] * math.log1p(-values[slots[j]]))
+            if log_r >= 0.0 or rng.random() < math.exp(log_r):
+                for seq in (n, slots, state.atoms, at):
+                    seq[j], seq[j + 1] = seq[j + 1], seq[j]
+        j += 1
+    if at != list(range(state.phi)) or len(at) > len(state.weights):
+        position = np.empty(len(at), dtype=np.int64)
+        position[at] = np.arange(len(at))
+        state.d = position[state.d]
+        state.weights = sb_transform(state.lengths.values)
 
 
 def _rho_log_conditional(rho, m, k_distinct):
@@ -878,13 +816,14 @@ def gibbs_sweep(
     rng: np.random.Generator,
     min_phi: int = 1,
 ) -> GibbsState:
-    """One full sweep; restores every state invariant before returning."""
+    """One full sweep; restores every state invariant before returning.  The
+    lengths and the label swaps come first, with the slices integrated out,
+    so that the slices drawn next need one truncation step."""
     spec = _resolve(config.prior, state.rho)
     kernel = config.kernel
-    update_slices(state, rng)
-    ensure_truncation(state, spec, kernel, rng, min_phi=min_phi)
     update_lengths(state, spec, rng)
-    # length moves can shrink the covered mass, so top the truncation back up
+    _swap_labels(state, spec, kernel, rng)
+    update_slices(state, rng)
     ensure_truncation(state, spec, kernel, rng, min_phi=min_phi)
     update_allocations(state, data, kernel, rng)
     update_atoms(state, data, kernel, rng)
@@ -929,14 +868,15 @@ def eap_density(samples: Sequence[GibbsState], kernel: MixtureKernel, grid) -> n
 
 
 def map_select(samples) -> int:
-    """Index of the sweep with the highest complete-data log score; earliest
-    sweep wins ties."""
+    """Index of the sweep with the highest collapsed score (`map_score`, which
+    `fit` stores); sweeps without one are left out, and the earliest sweep
+    wins ties."""
     if len(samples) == 0:
         raise ValueError("need at least one retained sweep")
-    scores = [s.log_score for s in samples]
-    if any(math.isnan(score) for score in scores):
-        raise ValueError("sample lacks a stored score")
-    return max(range(len(scores)), key=lambda i: (scores[i], -i))
+    scored = [i for i, s in enumerate(samples) if not math.isnan(s.map_score)]
+    if not scored:
+        raise ValueError(f"no retained sweep has a collapsed score (max d <= {ENUMERATION_CAP})")
+    return max(scored, key=lambda i: (samples[i].map_score, -i))
 
 
 def cluster_assign(sample: GibbsState, data, kernel: MixtureKernel) -> np.ndarray:
@@ -974,10 +914,37 @@ class TraceRecord:
 
 @dataclass
 class FitResult:
+    """Retained snapshots and trace of one chain; infeasible_slices is its
+    count of redrawn class values (`GibbsState`), and unscored_samples the
+    snapshots without a collapsed score (max d above ENUMERATION_CAP)."""
+
     samples: List[GibbsState]
     trace: List[TraceRecord]
     config: FitConfig
     infeasible_slices: int = 0
+    unscored_samples: int = 0
+
+
+def _score_samples(samples, data, config) -> int:
+    """Store on each snapshot its collapsed score log P[d | rho] + sum_j
+    log m(y_{S_j}), with P the exact allocation probability (cached on the
+    counts, all it reads) and m the block marginal; return how many
+    snapshots go unscored because max d exceeds ENUMERATION_CAP."""
+    cache = {}
+    unscored = 0
+    for sample in samples:
+        r = np.bincount(sample.d)
+        if len(r) > ENUMERATION_CAP:
+            unscored += 1
+            continue
+        key = (tuple(r.tolist()), sample.rho)
+        if key not in cache:
+            spec = _resolve(config.prior, sample.rho)
+            cache[key] = _log_partition_sum(r, len(sample.d) - np.cumsum(r), spec.eppf,
+                                            spec.base_a, spec.base_b)
+        sample.map_score = cache[key] + sum(config.kernel.log_marginal(ys)
+                                            for ys in _blocks(data, sample.d, len(r)))
+    return unscored
 
 
 def fit(
@@ -987,7 +954,7 @@ def fit(
 ) -> FitResult:
     """Run the sampler from default_rng(config.seed): burn-in then retained
     sweeps.  Every retained sweep emits a trace record; every thin-th retained
-    sweep is stored in full."""
+    sweep is stored in full, with its collapsed score (`map_select`)."""
     data = np.asarray(data, dtype=float)
     expected_dim = config.kernel.dim
     if expected_dim == 1 and data.ndim != 1:
@@ -1012,5 +979,6 @@ def fit(
         trace.append(rec)
         if (sweep - config.burn_in) % config.thin == 0:
             samples.append(state.snapshot())
+    unscored = _score_samples(samples, data, config)
     return FitResult(samples=samples, trace=trace, config=config,
-                     infeasible_slices=state.infeasible_slices)
+                     infeasible_slices=state.infeasible_slices, unscored_samples=unscored)

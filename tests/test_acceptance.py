@@ -375,5 +375,5 @@ def test_seeded_chains_are_pinned():
     config = FitConfig(prior=RandomRho(theta=1.0), kernel=default_kernel(data),
                        iterations=300, burn_in=0, seed=11)
     bivariate = chain_digest(data, config, 300, lambda s: (s.kn(), s.rho))
-    assert univariate == "9344117b2864937ea81a2c08cb75dbe049db52a0ce8541ab55f5efa73c5a1f7f"
-    assert bivariate == "65618cb7cfcd8ef53717db078b04d3c834487a8786aec9f946bfd1e4f9874c2f"
+    assert univariate == "93b4c4ae250d75c047ca082f96b6d17a7ec1a622edb83c6c81abcabfc26e6d82"
+    assert bivariate == "21feae710ef77df5138b4e22a3da75c79780d580953965ca65d27bf664e97d81"

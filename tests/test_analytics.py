@@ -9,6 +9,7 @@ from scipy import integrate, stats
 from scipy.special import gammaln, logsumexp
 
 from esbmix.analytics import (
+    ENUMERATION_CAP,
     AllocationVector,
     allocation_probability,
     allocation_probability_dsb,
@@ -315,6 +316,20 @@ def test_allocation_probability_dirichlet_k8_matches_dsb_enumeration():
         assert allocation_probability(d, Dirichlet(beta), 1.0, theta) == pytest.approx(
             allocation_probability_dsb(d, beta, theta), rel=1e-12
         )
+
+
+def test_dirichlet_one_pass_matches_the_loop_over_block_counts():
+    # PitmanYor(0, beta) has Dirichlet(beta)'s Gibbs factors, but its sum
+    # runs the loop over the number of blocks
+    rng = np.random.default_rng(5)
+    for k in range(1, ENUMERATION_CAP + 1):
+        for beta in (0.1, 1.0, 3.7, 50.0):
+            d = list(range(1, k + 1)) + rng.integers(1, k + 1, size=2 * k).tolist()
+            assert allocation_probability(d, Dirichlet(beta), 1.3, 0.7) == pytest.approx(
+                allocation_probability(d, PitmanYor(0.0, beta), 1.3, 0.7), rel=1e-12)
+            if k <= 7:
+                assert allocation_probability(d, Dirichlet(beta), 1.0, 2.5) == pytest.approx(
+                    allocation_probability_dsb(d, beta, 2.5), rel=1e-12)
 
 
 def test_allocation_probability_rejects_bad_base_shapes():

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import betainc, betaincinv
+from scipy.special import betaln
 
 from esbmix import mcmc
-from esbmix.analytics import sample_kn
+from esbmix.analytics import enumerate_partitions, sample_kn
 from esbmix.eppf import Dirichlet, IdenticalDegenerate, IidDegenerate, PitmanYor
 from esbmix.mcmc import (
     LOG_2PI,
@@ -22,9 +22,7 @@ from esbmix.mcmc import (
     TraceRecord,
     UnivariateNormalGamma,
     _beta_logpdf,
-    _resample_position,
     _rho_log_conditional,
-    _slice_maxima,
     _slice_sample_logit,
     _truncate_prefix,
     cluster_assign,
@@ -35,7 +33,6 @@ from esbmix.mcmc import (
     fit,
     gibbs_sweep,
     initial_state,
-    length_conditional_options,
     map_select,
     posterior_kn,
     update_allocations,
@@ -473,36 +470,11 @@ def test_update_lengths_identical_keeps_single_class():
 
 def test_update_lengths_iid_only_new_draws():
     rng = np.random.default_rng(9)
-    state = make_state([0.4, 0.6], [0, 1, 0], [], [], [])
-    state.u = np.empty(0)
-    state.d = np.empty(0, dtype=np.int64)
+    # data on sticks 0 and 2 keep all three positions
+    state = make_state([0.4, 0.6], [0, 1, 0], [0.1, 0.01], [0, 2], [None] * 3)
     update_lengths(state, IidBeta(1.0, 1.0), rng)
     state.lengths.validate()
     assert state.lengths.counts == [1, 1, 1]
-
-
-def test_length_conditional_new_branch_closed_form():
-    # the truncated-Beta branch of one stick's conditional carries mass
-    # q0 = beta [(1-a)^t - (1-b)^t] / (sum of admissible counts + the same),
-    # the displayed closed form for a Be(1, theta) base
-    beta, theta = 2.0, 1.5
-    distinct = [0.30, 0.55, 0.80]
-    counts_minus = [2, 1, 3]
-    for a_j, b_j in ((0.0, 1.0), (0.25, 0.9), (0.5, 0.6)):
-        active, opt_w, _, _ = length_conditional_options(
-            dsb(beta, theta), distinct, counts_minus, a_j, b_j
-        )
-        mass = (1.0 - a_j) ** theta - (1.0 - b_j) ** theta
-        admissible = sum(
-            counts_minus[s] for s in active if a_j < distinct[s] < b_j
-        )
-        q0_closed = beta * mass / (admissible + beta * mass)
-        q0 = opt_w[-1] / sum(opt_w)
-        assert q0 == pytest.approx(q0_closed, rel=1e-12)
-        # point-mass weights are the prediction-rule counts, masked
-        for i, s in enumerate(active):
-            inside = a_j < distinct[s] < b_j
-            assert (opt_w[i] > 0) == inside
 
 
 def test_update_lengths_new_branch_frequency():
@@ -533,96 +505,116 @@ def test_update_lengths_respects_slice_constraints():
 
 
 def test_update_lengths_skips_zero_weight_empty_stick():
-    # the middle stick's weight underflows to 0 and holds no datum; it must
-    # not enter the interval of the stick before it (0/0 would block it)
+    # the middle stick's weight underflows to 0 and holds no datum; the step
+    # reads the data only through the counts, so every position moves
     rng = np.random.default_rng(12)
     state = make_state([0.6, 5e-324, 0.5], [0, 1, 2], [0.3, 0.1], [0, 2], [None] * 3)
     assert state.weights[1] == 0.0
     update_lengths(state, IidBeta(1.0, 1.0), rng)
     assert state.infeasible_slices == 0
     assert state.lengths.values[0] != 0.6
-    assert np.all(state.u < state.weights[state.d])
+    assert np.array_equal(state.weights, sb_transform(state.lengths.values))
 
 
-def test_update_lengths_new_value_stays_below_one():
-    # the only double in the stick's interval is its own value 1 - 2^-53,
-    # whose slot the stick has just emptied: the new value takes it rather
-    # than stepping on to 1.0; the class refresh that follows finds no other
-    # feasible double and shrinks its bracket until it draws that value
-    v = 1.0 - 2.0 ** -53
-    state = make_state([v], [0], [np.nextafter(v, 0.0)], [0], [None])
-    update_lengths(state, dsb(1.0, 0.5), np.random.default_rng(0))
-    state.lengths.validate()
-    assert state.infeasible_slices == 0
-    assert state.lengths.distinct == [v]
-    assert np.all(state.u < state.weights[state.d])
-    assert np.isfinite(_beta_logpdf(state.lengths.distinct[0], 1.0, 0.5))
+class PresetBetas:
+    """Generator stand-in whose first Beta draws are preset; every later
+    draw comes from a seeded Generator."""
 
-
-class FirstDrawsLargest:
-    """Generator stand-in whose first `count` uniforms are the largest one;
-    every later draw comes from a seeded Generator."""
-
-    def __init__(self, count, seed=0):
-        self.count = count
+    def __init__(self, betas, seed=0):
+        self.betas = list(betas)
         self.rng = np.random.default_rng(seed)
 
     def random(self):
-        if self.count:
-            self.count -= 1
-            return ONE_BELOW_ONE
         return self.rng.random()
 
-    def exponential(self):
-        return self.rng.exponential()
+    def beta(self, a, b):
+        return self.betas.pop(0) if self.betas else self.rng.beta(a, b)
 
 
-def no_free_double_state():
-    # stick 1's slice caps stick 0 below nextafter(0.5, 1), and 0.5 is still
-    # held by stick 2
-    return make_state([0.5, 0.25], [0, 1, 0], [0.125 - 2.0 ** -55], [1], [None] * 3)
-
-
-def test_resample_position_without_a_free_double_keeps_the_prefix():
-    # the largest uniform picks the new-value branch, whose draw, clamped to
-    # 0.5, finds no free double: the position keeps its value
-    prefix = no_free_double_state().lengths
-    before = prefix.copy()
-    assert not _resample_position(prefix, 0, 0.0, math.nextafter(0.5, 1.0),
-                                  dsb(1.0, 1.0), FirstDrawsLargest(2))
-    assert prefix == before
+def test_update_lengths_new_value_stays_below_one():
+    # Be(a + N, b + M) draws that round onto 1.0 or 0.0 are no lengths: the
+    # class value is redrawn, and each redraw counted
+    v = 1.0 - 2.0 ** -53
+    state = make_state([v], [0], [np.nextafter(v, 0.0)], [0], [None])
+    update_lengths(state, dsb(1.0, 0.5), PresetBetas([1.0, 0.0, v]))
+    state.lengths.validate()
+    assert state.infeasible_slices == 2
+    assert state.lengths.distinct == [v]
+    assert np.isfinite(_beta_logpdf(state.lengths.distinct[0], 1.0, 0.5))
 
 
 def test_update_lengths_no_free_double_is_infeasible():
-    # stick 0's two draws are the largest uniform, so it finds no free double
-    # and counts the one infeasible slice; the later moves are seeded
-    state = no_free_double_state()
-    update_lengths(state, dsb(1.0, 1.0), FirstDrawsLargest(2, 3))
+    # a class value equal to another class's value would merge the two
+    # classes: it is redrawn and counted
+    state = make_state([0.5, 0.25], [0, 1], [0.1, 0.1], [0, 1], [None] * 2)
+    update_lengths(state, IidBeta(1.0, 1.0), PresetBetas([0.5, 0.5, 0.25]))
     assert state.infeasible_slices == 1
+    assert state.lengths.distinct == [0.5, 0.25]
     state.lengths.validate()
     assert np.array_equal(state.weights, sb_transform(state.lengths.values))
-    assert np.all(state.u < state.weights[state.d])
 
 
-def test_geometric_class_refresh_follows_truncated_base():
-    # one Geometric class, SharedBeta(2, 3), on three sticks with one datum on
-    # stick 1 sliced at u: its weight x (1 - x) must exceed u, which bounds
-    # the shared length x on both sides, by the roots of x^2 - x + u, so the
-    # class refresh is a slice-sampling kernel for Be(2, 3) truncated there
-    u = 0.2
-    lo, hi = (1.0 - math.sqrt(1.0 - 4.0 * u)) / 2.0, (1.0 + math.sqrt(1.0 - 4.0 * u)) / 2.0
-    cdf_lo, cdf_hi = betainc(2.0, 3.0, lo), betainc(2.0, 3.0, hi)
-    state = make_state([0.5], [0, 0, 0], [u], [1], [(0.0, 1.0)] * 3)
+def test_geometric_class_value_follows_its_collapsed_law():
+    # one Geometric class, SharedBeta(2, 3), over the k = 4 sticks up to the
+    # last occupied one: r = (1, 2, 0, 1) data on the sticks and t = (3, 1,
+    # 1, 0) on later ones, so the shared value is an exact Be(2 + 4, 3 + 5)
+    # draw whatever the slices
+    state = make_state([0.5], [0] * 6, [0.01] * 4, [0, 1, 1, 3], [None] * 6)
     rng = np.random.default_rng(2011)
-    draws = np.empty(40_000)
+    draws = np.empty(20_000)
     for i in range(len(draws)):
         update_lengths(state, SharedBeta(2.0, 3.0), rng)
         draws[i] = state.lengths.distinct[0]
     assert state.infeasible_slices == 0
-    assert lo < draws.min() and draws.max() < hi
-    # lag-1 autocorrelation is about 0.12; every tenth draw is nearly independent
-    truncated_cdf = lambda x: (betainc(2.0, 3.0, x) - cdf_lo) / (cdf_hi - cdf_lo)
-    assert stats.kstest(draws[::10], truncated_cdf).pvalue > 0.01
+    assert stats.kstest(draws, stats.beta(6.0, 8.0).cdf).pvalue > 0.01
+
+
+@pytest.mark.parametrize("spec", [dsb(0.7, 1.5), SpeciesDriven(PitmanYor(0.5, 1.0), 2.0, 1.0)],
+                         ids=["dsb", "pitman-yor"])
+def test_partition_move_matches_its_exact_law(spec):
+    # with d fixed, the tie partition pi of the k = 4 positions up to the
+    # last occupied stick has the law
+    # EPPF(pi) prod_s B(a + N_s, b + M_s) / B(a, b), N_s and M_s the data on
+    # and after the sticks of class s.  The step
+    # numbers classes by first appearance, so its atom_index is the
+    # partition's restricted growth string.  Every fourth sweep is counted;
+    # a Pearson test over the Bell(4) = 15 partitions.
+    d = [0, 0, 0, 1, 3, 3, 2]
+    r, t = [3, 1, 1, 2], [4, 3, 2, 0]
+    a, b = spec.base_a, spec.base_b
+    exact = {}
+    for part in enumerate_partitions(4):
+        rgs = [next(i for i, block in enumerate(part) if pos in block) for pos in range(1, 5)]
+        exact[tuple(rgs)] = math.exp(
+            spec.eppf.log_eppf([len(block) for block in part])
+            + sum(betaln(a + sum(r[i - 1] for i in block), b + sum(t[i - 1] for i in block))
+                  - betaln(a, b) for block in part))
+    state = make_state([0.5], [0] * 4, [0.01] * len(d), d, [None] * 4)
+    rng = np.random.default_rng(2000)
+    visits = dict.fromkeys(exact, 0)
+    for i in range(24_000):
+        update_lengths(state, spec, rng)
+        if i % 4 == 0:
+            visits[tuple(state.lengths.atom_index)] += 1
+    total = sum(exact.values())
+    expected = np.array([exact[key] / total * 6000 for key in exact])
+    observed = np.array([visits[key] for key in exact])
+    assert stats.chisquare(observed, expected).pvalue > 1e-3, (observed, expected.round(1))
+
+
+def test_label_swap_closes_an_empty_stick():
+    # stick 0 is empty and stick 1 holds both data: the swap has ratio
+    # (1 - v_1)^0 / (1 - v_0)^2 > 1, so it is made without a uniform, and the
+    # data, atom and length of stick 1 move to stick 0
+    state = make_state([0.3, 0.4], [0, 1], [0.1, 0.1], [1, 1], ["empty", "held"])
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    mcmc._swap_labels(state, dsb(1.0, 1.0), UNIVARIATE, rng)
+    assert rng.bit_generator.state == before
+    assert state.d.tolist() == [0, 0] and state.atoms == ["held", "empty"]
+    assert state.lengths.values.tolist() == [0.4, 0.3]
+    state.lengths.validate()
+    assert np.array_equal(state.weights, sb_transform(state.lengths.values))
 
 
 OPEN_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
@@ -678,153 +670,13 @@ def test_ensure_truncation_keeps_state_valid(inputs, min_phi):
 @settings(max_examples=150, deadline=None)
 @given(length_update_inputs())
 def test_update_lengths_keeps_state_valid(inputs):
-    # every invariant GibbsState.validate checks except truncation coverage,
-    # which a length move may lose; the sweep restores it next
+    # every invariant GibbsState.validate checks except the slices and the
+    # truncation coverage: the sweep draws the slices next, then truncates
     state, model, base_b, seed = inputs
     update_lengths(state, SpeciesDriven(model, 1.0, base_b), np.random.default_rng(seed))
     state.lengths.validate()
     assert state.phi == len(state.atoms)
     assert np.array_equal(state.weights, sb_transform(state.lengths.values))
-    assert np.all(state.u < state.weights[state.d])
-
-
-def _array_update_lengths(state, spec, rng):
-    """Reference for update_lengths: the array form, which rebuilds the whole
-    weight vector with sb_transform after every move and every class-refresh
-    trial."""
-    prefix = state.lengths
-    phi = len(prefix)
-    v = prefix.values
-    weights = state.weights.copy()
-    umax = _slice_maxima(state)
-
-    if isinstance(spec.eppf, IdenticalDegenerate) and len(prefix.distinct) == 1:
-        _array_refresh_distinct_values(state, umax, spec, rng)
-        return state
-
-    occupied = np.flatnonzero(umax)
-    atom_index = list(prefix.atom_index)
-    distinct = list(prefix.distinct)
-    counts = list(prefix.counts)
-
-    prefix_prod = 1.0
-    for j in range(phi):
-        a_j = float(umax[j]) / prefix_prod if umax[j] > 0.0 else 0.0
-        b_j = 1.0
-        later = occupied[occupied > j]
-        if len(later):
-            b_j = 1.0 - (1.0 - v[j]) * float(np.max(umax[later] / weights[later]))
-        if not np.nextafter(a_j, 1.0) < b_j:
-            state.infeasible_slices += 1
-            prefix_prod *= 1.0 - v[j]
-            continue
-
-        slot_j = atom_index[j]
-        counts[slot_j] -= 1
-        active, opt_w, cdf_a, cdf_b = length_conditional_options(
-            spec, distinct, counts, a_j, b_j
-        )
-        total = sum(opt_w)
-        if total <= 0.0:
-            counts[slot_j] += 1
-            state.infeasible_slices += 1
-            prefix_prod *= 1.0 - v[j]
-            continue
-
-        pick = rng.random() * total
-        acc = 0.0
-        choice = len(opt_w) - 1
-        for i, wgt in enumerate(opt_w):
-            acc += wgt
-            if pick < acc:
-                choice = i
-                break
-
-        if choice < len(active):
-            new_slot = active[choice]
-        else:
-            q = cdf_a + rng.random() * (cdf_b - cdf_a)
-            new_val = float(betaincinv(spec.base_a, spec.base_b, q))
-            hi = np.nextafter(b_j, 0.0)
-            new_val = min(max(new_val, np.nextafter(a_j, 1.0), 1e-300), hi)
-            taken = {x for x, c in zip(distinct, counts) if c > 0}
-            while new_val in taken and new_val < hi:
-                new_val = np.nextafter(new_val, 1.0)
-            if new_val in taken:
-                counts[slot_j] += 1
-                state.infeasible_slices += 1
-                prefix_prod *= 1.0 - v[j]
-                continue
-            new_slot = len(distinct)
-            distinct.append(new_val)
-            counts.append(0)
-        counts[new_slot] += 1
-        atom_index[j] = new_slot
-        v[j] = distinct[new_slot]
-        weights = sb_transform(v)
-        prefix_prod *= 1.0 - v[j]
-
-    state.lengths = _truncate_prefix(LengthPrefix(atom_index, distinct, counts), phi)
-    state.weights = sb_transform(state.lengths.values)
-    _array_refresh_distinct_values(state, umax, spec, rng)
-    return state
-
-
-def _array_refresh_distinct_values(state, umax, spec, rng):
-    prefix = state.lengths
-    occupied = np.flatnonzero(umax)
-    slice_max = umax[occupied]
-    v = prefix.values
-    for slot in range(len(prefix.distinct)):
-        positions = np.flatnonzero(np.asarray(prefix.atom_index) == slot)
-
-        def feasible(x):
-            trial = v.copy()
-            trial[positions] = x
-            w = sb_transform(trial)
-            if np.any(slice_max >= w[occupied]):
-                return None
-            return w
-
-        x0 = prefix.distinct[slot]
-        level = _beta_logpdf(x0, spec.base_a, spec.base_b) - rng.exponential()
-        left, right = 0.0, 1.0
-        while True:
-            x1 = left + rng.random() * (right - left)
-            if x1 == x0:
-                break
-            if (0.0 < x1 < 1.0
-                    and x1 not in prefix.distinct
-                    and _beta_logpdf(x1, spec.base_a, spec.base_b) > level):
-                w = feasible(x1)
-                if w is not None:
-                    prefix.distinct[slot] = float(x1)
-                    v[positions] = x1
-                    state.weights = w
-                    break
-            if x1 < x0:
-                left = x1
-            else:
-                right = x1
-
-
-@settings(max_examples=200, deadline=None)
-@given(length_update_inputs(), st.sampled_from([0.5, 1.0, 2.0]))
-def test_update_lengths_matches_array_reference(inputs, base_a):
-    # base_a != 1 makes the xlogy term of the class refresh's density count
-    state, model, base_b, seed = inputs
-    spec = SpeciesDriven(model, base_a, base_b)
-    ref, ref_rng = state.snapshot(), np.random.default_rng(seed)
-    rng = np.random.default_rng(seed)
-    with np.errstate(divide="ignore"):  # the reference divides by underflowed weights
-        _array_update_lengths(ref, spec, ref_rng)
-    update_lengths(state, spec, rng)
-    assert state.lengths.atom_index == ref.lengths.atom_index
-    assert state.lengths.distinct == ref.lengths.distinct
-    assert state.lengths.counts == ref.lengths.counts
-    assert np.array_equal(state.weights, ref.weights)
-    assert state.infeasible_slices == ref.infeasible_slices
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_rho_conditional_reductions():
@@ -939,11 +791,57 @@ def test_complete_data_log_score_hand_fixture():
 def test_map_select_rules():
     a = make_state([0.5], [0], [0.2], [0], [(0.0, 1.0)])
     b = make_state([0.5], [0], [0.2], [0], [(0.0, 1.0)])
-    a.log_score, b.log_score = -5.0, -3.0
+    a.map_score, b.map_score = -5.0, -3.0
     assert map_select([a, b]) == 1
-    b.log_score = -5.0
+    b.map_score = -5.0
     assert map_select([a, b]) == 0  # earliest wins ties
     assert map_select([a]) == 0
+    # a sweep without a collapsed score is left out, and one must be left
+    a.map_score = math.nan
+    assert map_select([a, b]) == 1
+    with pytest.raises(ValueError, match="collapsed score"):
+        map_select([a])
+
+
+@pytest.mark.parametrize("kernel", [UNIVARIATE, BIVARIATE], ids=["univariate", "bivariate"])
+def test_log_marginal_is_the_product_of_predictives(kernel):
+    # m(y_1..y_m) = prod_i p(y_i | y_<i), each predictive a Student t
+    rng = np.random.default_rng(41)
+    ys = 2.0 * rng.normal(size=(7, 2) if kernel.dim == 2 else 7) + 1.0
+    ref = 0.0
+    for i in range(len(ys)):
+        if kernel.dim == 1:
+            mu, lam, a, b = kernel.posterior_params(ys[:i])
+            ref += stats.t.logpdf(ys[i], 2.0 * a, mu, math.sqrt(b * (lam + 1.0) / (a * lam)))
+        else:
+            mu, lam, psi, nu = kernel.posterior_params(ys[:i])
+            ref += stats.multivariate_t.logpdf(ys[i], mu, psi * (lam + 1.0) / (lam * (nu - 1.0)),
+                                               df=nu - 1.0)
+    assert kernel.log_marginal(ys) == pytest.approx(ref, rel=1e-10)
+    assert kernel.log_marginal(ys[:0]) == 0.0
+
+
+def test_fit_stores_the_collapsed_score_on_each_snapshot():
+    from esbmix.analytics import ENUMERATION_CAP, allocation_probability
+
+    rng = np.random.default_rng(43)
+    data = np.concatenate([rng.normal(-3, 1, 6), rng.normal(3, 1, 6)])
+    kern = default_kernel(data)
+    cfg = FitConfig(prior=RandomRho(1.0), kernel=kern, iterations=60, burn_in=20, thin=4, seed=8)
+    res = fit(data, cfg)
+    assert res.unscored_samples == 0
+    for sample in res.samples:
+        spec = dsb((1.0 - sample.rho) / sample.rho, 1.0)
+        ref = math.log(allocation_probability(sample.d + 1, spec.eppf, spec.base_a, spec.base_b))
+        ref += sum(ng_log_marginal(data[sample.d == j], kern.mu0, kern.lam, kern.a, kern.b)
+                   for j in set(sample.d.tolist()))
+        assert sample.map_score == pytest.approx(ref, rel=1e-10)
+    # a snapshot whose max d exceeds the cap is left unscored, and counted
+    wide = res.samples[0].snapshot()
+    wide.map_score = math.nan
+    wide.d[0] = ENUMERATION_CAP
+    assert mcmc._score_samples([wide], data, cfg) == 1
+    assert math.isnan(wide.map_score)
 
 
 def test_eap_density_single_component():
@@ -1259,31 +1157,59 @@ def test_bivariate_kernel_geweke_getting_it_right():
     assert np.all(np.abs(z) < 4.0), z
 
 
-@pytest.mark.parametrize("prior, mean_v", [(SharedBeta(2.0, 3.0), 0.4), (dsb(1.0, 1.0), 0.5)],
-                         ids=["shared-beta", "dsb"])
-def test_gibbs_sweep_geweke_getting_it_right(prior, mean_v):
+def _prior_kn3_pmf(prior):
+    """Prior pmf of K_3 from 400,000 replicates; under RandomRho, 2,000 at
+    each of 200 midpoints of rho's uniform prior."""
+    rng = np.random.default_rng(1)
+    if not isinstance(prior, RandomRho):
+        return sample_kn(prior, 3, 400_000, rng).pmf
+    pmf = {}
+    for rho in (np.arange(200) + 0.5) / 200:
+        for k, p in sample_kn(dsb((1.0 - rho) / rho, prior.theta), 3, 2_000, rng).pmf.items():
+            pmf[k] = pmf.get(k, 0.0) + p / 200
+    return pmf
+
+
+@pytest.mark.parametrize("prior, mean_v, tie", [
+    (SharedBeta(2.0, 3.0), 0.4, 1.0),
+    (dsb(1.0, 1.0), 0.5, 0.5),
+    (IidBeta(1.0, 2.0), 1.0 / 3.0, 0.0),
+    (RandomRho(1.0), 0.5, 0.5),
+], ids=["shared-beta", "dsb", "iid-beta", "random-rho"])
+def test_gibbs_sweep_geweke_getting_it_right(prior, mean_v, tie):
     # Geweke (2004): one sweep alternated with a fresh draw of the data given
-    # the allocations and atoms leaves the joint prior invariant, so K_3 and
-    # the first length must follow their prior laws.  Under SharedBeta the
-    # tie-class refresh alone moves the shared length.
+    # the allocations and atoms leaves the joint prior invariant, so K_3, the
+    # first length, the number of tie classes of the first two lengths and
+    # rho must follow their prior laws.  The two lengths tie with the tie
+    # probability, rho under RandomRho (rho's prior is uniform); a second
+    # length the sweep did not instantiate comes from the prediction rule.
     kernel = UnivariateNormalGamma(0.0, 1.0, 2.0, 2.0)
     config = FitConfig(prior=prior, kernel=kernel, iterations=1, burn_in=0)
-    rng = np.random.default_rng(1)
+    rng, extend_rng = np.random.default_rng(1), np.random.default_rng(2)
     draws, batches = 5000, 50
     state = initial_state(np.zeros(3), config, rng)
-    chain = np.empty((draws, 4))
+    chain = np.empty((draws, 6))
     for i in range(draws):
         m, tau = np.array([state.atoms[j] for j in state.d]).T
         gibbs_sweep(state, rng.normal(m, 1.0 / np.sqrt(tau)), config, rng)
+        first_two = state.lengths.copy()
+        if len(first_two) < 2:
+            mcmc._extend(first_two, mcmc._resolve(prior, state.rho), 1, extend_rng)
         chain[i, :3] = [state.kn() == k for k in (1, 2, 3)]
         chain[i, 3] = state.lengths.values[0]
-    pmf = sample_kn(prior, 3, 400_000, np.random.default_rng(1)).pmf
-    target = np.array([pmf.get(k, 0.0) for k in (1, 2, 3)] + [mean_v])
+        chain[i, 4] = len(set(first_two.atom_index[:2]))
+        chain[i, 5] = 0.5 if state.rho is None else state.rho
+    pmf = _prior_kn3_pmf(prior)
+    target = np.array([pmf.get(k, 0.0) for k in (1, 2, 3)] + [mean_v, 2.0 - tie, 0.5])
     # batch means give the chain's standard error; K_3's prior pmf adds its own
-    batch_means = chain.reshape(batches, -1, 4).mean(axis=1)
+    batch_means = chain.reshape(batches, -1, 6).mean(axis=1)
     se2 = batch_means.var(axis=0, ddof=1) / batches
     se2[:3] += target[:3] * (1.0 - target[:3]) / 400_000
-    z = (batch_means.mean(axis=0) - target) / np.sqrt(se2)
+    diff = batch_means.mean(axis=0) - target
+    # a statistic the law pins (one tie class under SharedBeta, two under
+    # IidBeta, rho without RandomRho) must take its value every sweep
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(se2 > 0.0, diff / np.sqrt(se2), np.where(diff == 0.0, 0.0, np.inf))
     assert np.all(np.abs(z) < 4.0), z
 
 
@@ -1348,10 +1274,10 @@ def ng_log_marginal(ys, mu0, lam, a, b):
     )
 
 
-def test_posterior_matches_exact_enumeration():
-    """On four data points the posterior over the distinct-component count
-    is exactly computable (allocation partition sums times conjugate block
-    marginals); the chain must reproduce it under matched conditioning."""
+def _enumeration_tv(spec, burn_in, kept):
+    """TV distance between the chain's law of the distinct-component count on
+    four data points and the exact posterior (allocation partition sums times
+    conjugate block marginals), under matched conditioning."""
     import itertools
     from functools import lru_cache
 
@@ -1359,13 +1285,11 @@ def test_posterior_matches_exact_enumeration():
 
     data = np.array([-4.0, -3.6, 3.8, 4.2])
     mu0, lam, a, b = float(np.mean(data)), 0.01, 0.5, 0.5
-    beta_dsb, theta = 1.0, 1.0
-    model = Dirichlet(beta_dsb)
     n, J = len(data), 6
 
     @lru_cache(maxsize=None)
     def p_alloc(multiset):
-        return allocation_probability(list(multiset), model, 1.0, theta)
+        return allocation_probability(list(multiset), spec.eppf, spec.base_a, spec.base_b)
 
     post, total = {}, 0.0
     for d in itertools.product(range(1, J + 1), repeat=n):
@@ -1381,19 +1305,32 @@ def test_posterior_matches_exact_enumeration():
 
     rng = np.random.default_rng(13)
     kern = UnivariateNormalGamma(mu0, lam, a, b)
-    cfg = FitConfig(prior=dsb(beta_dsb, theta), kernel=kern,
-                    iterations=10, burn_in=1, thin=1, seed=13)
+    cfg = FitConfig(prior=spec, kernel=kern, iterations=10, burn_in=1, thin=1, seed=13)
     state = initial_state(data, cfg, rng)
-    tally, kept = {}, 0
-    for s in range(2_000 + 60_000):
+    tally, kept_in_event = {}, 0
+    for s in range(burn_in + kept):
         gibbs_sweep(state, data, cfg, rng)
-        if s < 2_000:
+        if s < burn_in:
             continue
         if state.d.max() + 1 <= J:  # condition on the enumeration's event
             tally[state.kn()] = tally.get(state.kn(), 0) + 1
-            kept += 1
-    chain = {k: c / kept for k, c in tally.items()}
-    assert tv_distance(exact, chain) < 0.04
+            kept_in_event += 1
+    chain = {k: c / kept_in_event for k, c in tally.items()}
+    return tv_distance(exact, chain)
+
+
+def test_posterior_matches_exact_enumeration():
+    """On four data points the posterior over the distinct-component count
+    is exactly computable (allocation partition sums times conjugate block
+    marginals); the chain must reproduce it under matched conditioning."""
+    assert _enumeration_tv(dsb(1.0, 1.0), 2_000, 60_000) < 0.04
+
+
+@pytest.mark.parametrize("spec", [SpeciesDriven(PitmanYor(0.5, 1.0), 1.0, 1.0),
+                                  IidBeta(1.0, 2.0), SharedBeta(1.0, 1.0)],
+                         ids=["pitman-yor", "iid-beta", "shared-beta"])
+def test_posterior_matches_exact_enumeration_for_every_family(spec):
+    assert _enumeration_tv(spec, 2_000, 10_000) < 0.04
 
 
 def test_kn_law_stabilizes_across_run_halves():
