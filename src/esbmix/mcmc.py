@@ -1,13 +1,14 @@
 """Slice-within-Gibbs sampler for mixture density estimation under
 stick-breaking priors with exchangeable length variables.
 
-One sweep updates: the length variables of the sticks up to the last
-occupied one (their tie partition and class values, drawn given the
-allocations with the slices integrated out), label swaps of adjacent
-sticks, slice variables, the truncation level (extending sticks and atoms
-as far as the slices require), allocations, kernel atoms, and optionally
-the tie probability.  The length step reads the data only through the
-per-stick counts, and costs O(k^2) scalar operations for those k sticks.
+One sweep updates: the allocations of two clusters by a split-merge move,
+the length variables of the sticks up to the last occupied one (their tie
+partition and class values, drawn given the allocations with the slices
+integrated out), label swaps of adjacent sticks, slice variables, the
+truncation level (extending sticks and atoms as far as the slices
+require), allocations, kernel atoms, and optionally the tie probability.
+The length step reads the data only through the per-stick counts, and
+costs O(k^2) scalar operations for those k sticks.
 Posterior summaries (EAP density, MAP sweep, clusters, K_n) are computed
 from retained sweeps; the MAP sweep is the one with the highest collapsed
 score log P[d | rho] + sum_j log m(y_j).
@@ -60,6 +61,10 @@ LOG_2PI = math.log(2.0 * math.pi)
 # step-out width of the slice sampler on logit(rho)
 LOGIT_STEP_WIDTH = 2.0
 
+# a split-merge move on two clusters of s data in all is tried with
+# probability min(1, SPLIT_MERGE_DATA / s): it reads at most about this many
+# data per sweep, a fraction of a sweep's cost on large clusters
+SPLIT_MERGE_DATA = 1000
 
 # ---------------------------------------------------------------------------
 # conjugate kernels
@@ -87,23 +92,36 @@ class UnivariateNormalGamma:
         m = rng.normal(self.mu0, 1.0 / math.sqrt(self.lam * tau))
         return (m, tau)
 
-    def posterior_params(self, ys: np.ndarray):
-        m = len(ys)
-        if m == 0:
-            return (self.mu0, self.lam, self.a, self.b)
-        ybar = float(np.mean(ys))
-        ss = float(np.sum((ys - ybar) ** 2))
-        lam_n = self.lam + m
-        mu_n = (self.lam * self.mu0 + m * ybar) / lam_n
-        a_n = self.a + 0.5 * m
-        b_n = self.b + 0.5 * ss + 0.5 * self.lam * m * (ybar - self.mu0) ** 2 / lam_n
-        return (mu_n, lam_n, a_n, b_n)
+    def suff(self, ys):
+        """Rows (1, z, z^2), z = y - mu0, one column per datum: a block's
+        posterior reads its data only through the row sums."""
+        ys = np.asarray(ys, dtype=float).reshape(-1)
+        out = np.ones((3, len(ys)))
+        np.subtract(ys, self.mu0, out=out[1])
+        np.square(out[1], out=out[2])
+        return out
 
-    def sample_posterior(self, ys, rng):
-        mu_n, lam_n, a_n, b_n = self.posterior_params(np.asarray(ys, dtype=float))
+    def posterior_params(self, ys, sums=None):
+        """(mu_n, lam_n, a_n, b_n) given the block ys, or given the row sums
+        of its `suff` in place of ys."""
+        if sums is None:
+            z = np.asarray(ys, dtype=float).reshape(-1) - self.mu0
+            sums = (len(z), z.sum(), z @ z)
+        m, z, zz = map(float, sums)
+        lam_n = self.lam + m
+        return (self.mu0 + z / lam_n, lam_n, self.a + 0.5 * m,
+                self.b + 0.5 * (zz - z * z / lam_n))
+
+    def sample_posterior(self, ys, rng, sums=None):
+        mu_n, lam_n, a_n, b_n = self.posterior_params(ys, sums)
         tau = rng.gamma(a_n, 1.0 / b_n)
         m = rng.normal(mu_n, 1.0 / math.sqrt(lam_n * tau))
         return (m, tau)
+
+    def central_atom(self, sums):
+        """The posterior mean atom given the row sums of a block's `suff`."""
+        mu_n, _, a_n, b_n = self.posterior_params(None, sums)
+        return (mu_n, a_n / b_n)
 
     @staticmethod
     def _factors(atoms):
@@ -138,11 +156,13 @@ class UnivariateNormalGamma:
         z -= scaled
         return z
 
-    def log_marginal(self, ys):
-        """log marginal likelihood of one block of data, the atom integrated out."""
-        mu_n, lam_n, a_n, b_n = self.posterior_params(ys)
+    def log_marginal(self, ys, sums=None):
+        """log marginal likelihood of one block of data (or of the row sums
+        of its `suff`), the atom integrated out."""
+        mu_n, lam_n, a_n, b_n = self.posterior_params(ys, sums)
+        m = len(ys) if sums is None else float(sums[0])
         return (math.lgamma(a_n) - math.lgamma(self.a) + 0.5 * math.log(self.lam / lam_n)
-                + self.a * math.log(self.b) - a_n * math.log(b_n) - 0.5 * len(ys) * LOG_2PI)
+                + self.a * math.log(self.b) - a_n * math.log(b_n) - 0.5 * m * LOG_2PI)
 
     def log_prior_density(self, atom):
         m, tau = atom
@@ -248,24 +268,39 @@ class BivariateNormalInvWishart:
     def sample_prior(self, rng):
         return self._draw(self._mu0(), self.lam, self._psi(), self.nu, rng)
 
-    def posterior_params(self, ys: np.ndarray):
-        m = len(ys)
-        if m == 0:
-            return (self._mu0(), self.lam, self._psi(), self.nu)
-        ybar = ys.mean(axis=0)
-        centered = ys - ybar
-        s = centered.T @ centered
-        lam_n = self.lam + m
-        mu_n = (self.lam * self._mu0() + m * ybar) / lam_n
-        nu_n = self.nu + m
-        dev = (ybar - self._mu0()).reshape(2, 1)
-        psi_n = self._psi() + s + (self.lam * m / lam_n) * (dev @ dev.T)
-        return (mu_n, lam_n, psi_n, nu_n)
+    def suff(self, ys):
+        """Rows (1, z0, z1, z0^2, z0 z1, z1^2), z = y - mu0, one column per
+        datum: a block's posterior reads its data only through the row sums."""
+        z = (np.asarray(ys, dtype=float).reshape(-1, 2) - self._mu0()).T
+        out = np.ones((6, z.shape[1]))
+        out[1:3] = z
+        np.multiply(z, z[0], out=out[3:5])
+        np.multiply(z[1], z[1], out=out[5])
+        return out
 
-    def sample_posterior(self, ys, rng):
-        ys = np.asarray(ys, dtype=float).reshape(-1, 2)
-        mu_n, lam_n, psi_n, nu_n = self.posterior_params(ys)
+    def posterior_params(self, ys, sums=None):
+        """(mu_n, lam_n, psi_n, nu_n) given the block ys, or given the row
+        sums of its `suff` in place of ys."""
+        if sums is None:
+            z = np.asarray(ys, dtype=float).reshape(-1, 2) - self._mu0()
+            s = z.T @ z
+            sums = (len(z), *z.sum(axis=0), s[0, 0], s[0, 1], s[1, 1])
+        m, z0, z1, z00, z01, z11 = map(float, sums)
+        lam_n = self.lam + m
+        (p00, p01), (p10, p11) = self.psi
+        psi_n = np.array([[p00 + z00 - z0 * z0 / lam_n, p01 + z01 - z0 * z1 / lam_n],
+                          [p10 + z01 - z0 * z1 / lam_n, p11 + z11 - z1 * z1 / lam_n]])
+        return (self._mu0() + np.array([z0, z1]) / lam_n, lam_n, psi_n, self.nu + m)
+
+    def sample_posterior(self, ys, rng, sums=None):
+        mu_n, lam_n, psi_n, nu_n = self.posterior_params(ys, sums)
         return self._draw(mu_n, lam_n, psi_n, nu_n, rng)
+
+    def central_atom(self, sums):
+        """The posterior mean location with the posterior mode of Sigma,
+        psi_n / (nu_n + 3), given the row sums of a block's `suff`."""
+        mu_n, _, psi_n, nu_n = self.posterior_params(None, sums)
+        return (mu_n, psi_n / (nu_n + 3.0))
 
     @staticmethod
     def _factors(atoms):
@@ -308,10 +343,11 @@ class BivariateNormalInvWishart:
         mx, my, *scale = self._factors(atoms)
         return _log_normal2(y[:, 0] - mx[d], y[:, 1] - my[d], *(f[d] for f in scale))
 
-    def log_marginal(self, ys):
-        """log marginal likelihood of one block of data, the atom integrated
-        out: pi^-m Gamma_2(nu_n/2) / Gamma_2(nu/2) |psi|^(nu/2) / |psi_n|^(nu_n/2) lam / lam_n."""
-        _, lam_n, psi_n, nu_n = self.posterior_params(np.asarray(ys, dtype=float).reshape(-1, 2))
+    def log_marginal(self, ys, sums=None):
+        """log marginal likelihood of one block of data (or of the row sums
+        of its `suff`), the atom integrated out:
+        pi^-m Gamma_2(nu_n/2) / Gamma_2(nu/2) |psi|^(nu/2) / |psi_n|^(nu_n/2) lam / lam_n."""
+        _, lam_n, psi_n, nu_n = self.posterior_params(ys, sums)
         psi, nu = self._psi(), self.nu
         log_det = math.log(psi[0, 0] * psi[1, 1] - psi[0, 1] * psi[1, 0])
         log_det_n = math.log(psi_n[0, 0] * psi_n[1, 1] - psi_n[0, 1] * psi_n[1, 0])
@@ -732,6 +768,119 @@ def _swap_labels(state: GibbsState, spec: SpeciesDriven, kernel: MixtureKernel,
         state.weights = sb_transform(state.lengths.values)
 
 
+def _split_merge(state: GibbsState, data: np.ndarray, spec: SpeciesDriven,
+                 kernel: MixtureKernel, rng: np.random.Generator) -> None:
+    """One split-merge move (Jain & Neal 2004) on the allocations given the
+    tie partition of the lengths, with the length values, the slices and the
+    atoms of the two sticks integrated out: its target is
+    prod_s B(a + N_s, b + M_s) prod_j m(y_{S_j}), in the notation of
+    `update_lengths`, which then moves the partition given the new d.
+
+    Two data i != l are drawn.  If both are on stick c, l and part of c move
+    to an empty stick e, drawn uniformly from the empty sticks up to one past
+    the last occupied (a stick past the instantiated ones is drawn from the
+    prior first); if they are on sticks c and e, e merges into c.  Each other
+    datum of the two clusters goes to e with probability
+    K(y | theta_e) / (K(y | theta_c) + K(y | theta_e)), the launch atoms the
+    posterior centres of the data nearer to y_i and of those nearer to y_l:
+    they depend only on i, l and the union of the two clusters, so a merge
+    replays the proposal of its reverse split.  An accepted move draws both
+    atoms from their posteriors (the emptied stick's from the prior)."""
+    n = len(state.d)
+    if n < 2:
+        return
+    d = state.d
+    i = int(rng.integers(n))
+    l = int(rng.integers(n - 1))
+    l += l >= i
+    c, e = int(d[i]), int(d[l])
+    split = c == e
+    merged = np.bincount(d)
+    if not split:
+        merged[c] += merged[e]
+        merged[e] = 0
+        merged = merged[:merged.nonzero()[0][-1] + 1]
+    if rng.random() * merged[c] >= SPLIT_MERGE_DATA:
+        return
+    empty = (merged == 0).nonzero()[0].tolist() + [len(merged)]
+    if split:
+        e = empty[int(rng.integers(len(empty)))]
+        if e == state.phi:
+            _extend(state.lengths, spec, 1, rng)
+            state.atoms.append(kernel.sample_prior(rng))
+    elif e > len(merged):  # the reverse split cannot pick e
+        return
+
+    members = ((d == c) if split else (d == c) | (d == e)).nonzero()[0]
+    pos_i, pos_l = members.searchsorted((i, l))
+    ys = data[members]
+    stats = kernel.suff(ys)
+    total = stats.sum(axis=1)
+
+    def proposal():
+        """The log odds of stick e per datum, those of the anchors pinned."""
+        z = stats[1:1 + kernel.dim]  # the data about mu0, one row per coordinate
+        proj = (z[:, pos_l] - z[:, pos_i]) @ z
+        near_l = proj > 0.5 * (proj[pos_i] + proj[pos_l])  # nearer to y_l than to y_i
+        near_l[pos_i], near_l[pos_l] = False, True
+        sums = stats @ near_l
+        logp = kernel.log_pdf_matrix(ys, [kernel.central_atom(total - sums),
+                                          kernel.central_atom(sums)])
+        diff = logp[:, 1] - logp[:, 0]
+        # log odds past 700 are proposed as 700: exp(-700) is still a normal
+        # float, and subnormal results take numpy's slow path
+        diff[[pos_i, pos_l]] = -700.0, 700.0
+        return diff, np.minimum(np.abs(diff), 700.0)
+
+    if split:
+        diff, odds = proposal()
+        tail = np.exp(-odds)  # the odds of the less likely side
+        to_e = (diff > 0.0) != (rng.random(len(ys)) * (1.0 + tail) < tail)
+        to_e[pos_i], to_e[pos_l] = False, True
+    else:
+        to_e = d[members] == e
+    moved = stats @ to_e
+    kept = total - moved
+    a, b = spec.base_a, spec.base_b
+
+    def log_b(r):
+        """sum_s log B(a + N_s, b + M_s) over the tie classes, given the
+        per-stick counts r: scalar arithmetic, as k is small."""
+        sums, left = {}, n
+        for s, r_j in zip(state.lengths.atom_index, r):
+            left -= r_j
+            n_s, m_s = sums.get(s, (0, 0))
+            sums[s] = (n_s + r_j, m_s + left)
+        return sum(_log_beta(a + n_s, b + m_s) for n_s, m_s in sums.values())
+
+    # the per-stick counts of the merged and of the split allocation
+    r = merged.tolist() + [0] * (e + 1 - len(merged))
+    parts = list(r)
+    parts[c] -= int(moved[0])
+    parts[e] += int(moved[0])
+    log_ratio = (kernel.log_marginal(None, kept) + kernel.log_marginal(None, moved)
+                 - kernel.log_marginal(None, total) + log_b(parts) - log_b(r)
+                 + math.log(len(empty)))
+    threshold = -rng.exponential()
+    if not split:
+        if threshold >= -log_ratio:  # log q <= 0 bounds the merge's ratio
+            return
+        diff, odds = proposal()
+        tail = np.exp(-odds)
+    # log q: log(1 / (1 + tail)) per datum, less the odds where it took the less likely side
+    log_q = -float(np.log1p(tail).sum()) - float(odds @ (to_e != (diff > 0.0)))
+    if threshold >= (log_ratio - log_q if split else log_q - log_ratio):
+        return
+    if split:
+        d[members[to_e]] = e
+        state.atoms[c] = kernel.sample_posterior(None, rng, kept)
+        state.atoms[e] = kernel.sample_posterior(None, rng, moved)
+    else:
+        d[members] = c
+        state.atoms[c] = kernel.sample_posterior(None, rng, total)
+        state.atoms[e] = kernel.sample_prior(rng)
+
+
 def _rho_log_conditional(rho, m, k_distinct):
     if not 0.0 < rho < 1.0:
         return -np.inf
@@ -817,10 +966,12 @@ def gibbs_sweep(
     min_phi: int = 1,
 ) -> GibbsState:
     """One full sweep; restores every state invariant before returning.  The
-    lengths and the label swaps come first, with the slices integrated out,
-    so that the slices drawn next need one truncation step."""
+    split-merge move, the lengths and the label swaps come first, with the
+    slices integrated out, so that the slices drawn next need one
+    truncation step."""
     spec = _resolve(config.prior, state.rho)
     kernel = config.kernel
+    _split_merge(state, np.asarray(data, dtype=float), spec, kernel, rng)
     update_lengths(state, spec, rng)
     _swap_labels(state, spec, kernel, rng)
     update_slices(state, rng)
@@ -869,14 +1020,14 @@ def eap_density(samples: Sequence[GibbsState], kernel: MixtureKernel, grid) -> n
 
 def map_select(samples) -> int:
     """Index of the sweep with the highest collapsed score (`map_score`, which
-    `fit` stores); sweeps without one are left out, and the earliest sweep
-    wins ties."""
+    `fit` stores); sweeps without one are left out, and if none has one, the
+    highest complete-data `log_score` wins.  The earliest sweep wins ties."""
     if len(samples) == 0:
         raise ValueError("need at least one retained sweep")
     scored = [i for i, s in enumerate(samples) if not math.isnan(s.map_score)]
-    if not scored:
-        raise ValueError(f"no retained sweep has a collapsed score (max d <= {ENUMERATION_CAP})")
-    return max(scored, key=lambda i: (samples[i].map_score, -i))
+    if scored:
+        return max(scored, key=lambda i: (samples[i].map_score, -i))
+    return max(range(len(samples)), key=lambda i: (samples[i].log_score, -i))
 
 
 def cluster_assign(sample: GibbsState, data, kernel: MixtureKernel) -> np.ndarray:

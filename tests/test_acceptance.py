@@ -375,5 +375,5 @@ def test_seeded_chains_are_pinned():
     config = FitConfig(prior=RandomRho(theta=1.0), kernel=default_kernel(data),
                        iterations=300, burn_in=0, seed=11)
     bivariate = chain_digest(data, config, 300, lambda s: (s.kn(), s.rho))
-    assert univariate == "93b4c4ae250d75c047ca082f96b6d17a7ec1a622edb83c6c81abcabfc26e6d82"
-    assert bivariate == "21feae710ef77df5138b4e22a3da75c79780d580953965ca65d27bf664e97d81"
+    assert univariate == "7e596e7e82e99f7406f0ccb554ed8ed974ff847426f1e99fe8eb1e37be2e69dd"
+    assert bivariate == "683ea2171bc0b01563cd34626d4af8c9ddbe81d80d24557fc510d1b2b6b86f6c"

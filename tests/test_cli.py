@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from esbmix import analytics
+from esbmix import analytics, mcmc
 from esbmix.cli import ConfigError, build_parser, load_data_csv, main, parse_kernel, parse_prior
 from esbmix.mcmc import GibbsState, RandomRho, UnivariateNormalGamma
 from esbmix.sticks import IidBeta, SharedBeta, SpeciesDriven
@@ -349,6 +349,31 @@ def test_fit_check_invariants_same_outputs(tmp_path, monkeypatch):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     manifest = json.loads((outs[1] / "manifest.json").read_text())
     assert manifest["invariant_checks"]["state_validated_each_sweep"] is True
+
+
+def test_fit_without_collapsed_scores_still_writes_a_map(tmp_path, monkeypatch):
+    # with the partition-sum cap at 0 no snapshot gets a collapsed score, as
+    # on data that need more occupied sticks than the cap: the highest
+    # complete-data score picks the MAP sweep, and every output is written
+    monkeypatch.setattr(mcmc, "ENUMERATION_CAP", 0)
+    rng = np.random.default_rng(4)
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("".join(f"{float(x)!r}\n" for x in rng.normal(size=40)))
+    cfg = write_json(
+        tmp_path / "c.json",
+        {"data": str(data_path),
+         "prior": {"family": "dsb", "rho": 0.5, "theta": 1.0},
+         "iterations": 60, "burn_in": 30, "thin": 3,
+         "grid": {"min": -4.0, "max": 4.0, "points": 41}},
+    )
+    out = tmp_path / "out"
+    assert main(["fit", "--config", cfg, "--out", str(out), "--seed", "1"]) == 0
+    for name in ("density.csv", "posterior_kn.csv", "clusters.csv", "trace.csv"):
+        assert (out / name).exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["map_unscored_samples"] == 10
+    scores = [float(row[3]) for row in read_csv(out / "trace.csv")[1:]][::3]
+    assert manifest["map_sample_index"] == int(np.argmax(scores))
 
 
 def test_fit_empty_data_no_partial_outputs(tmp_path):

@@ -1,6 +1,8 @@
+import itertools
 import math
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,7 +26,6 @@ from esbmix.mcmc import (
     _beta_logpdf,
     _rho_log_conditional,
     _slice_sample_logit,
-    _truncate_prefix,
     cluster_assign,
     complete_data_log_score,
     default_kernel,
@@ -602,6 +603,41 @@ def test_partition_move_matches_its_exact_law(spec):
     assert stats.chisquare(observed, expected).pvalue > 1e-3, (observed, expected.round(1))
 
 
+def test_split_merge_matches_its_exact_law():
+    # the move alone, the tie partition of the lengths fixed: its target is
+    # prod_s B(a + N_s, b + M_s) prod_j m(y_{S_j}) over the allocations of
+    # the three data, nearly all of whose mass has max d < 6.  The move
+    # repeats its state often, so the visit frequencies of the likelier
+    # allocations are compared with their target by batch means: 20
+    # batches of 1500 moves, a t statistic per allocation.
+    spec, kernel = SpeciesDriven(Dirichlet(1.0), 2.0, 1.0), UNIVARIATE
+    slots = [0, 1, 0, 2, 1, 0, 3, 0]
+    data = np.array([-1.0, -0.4, 1.2])
+    exact = {}
+    for d in itertools.product(range(6), repeat=len(data)):
+        r = np.bincount(d, minlength=len(slots))
+        t = len(d) - np.cumsum(r)
+        exact[d] = math.exp(
+            betaln(2.0 + np.bincount(slots, r), 1.0 + np.bincount(slots, t)).sum()
+            + sum(kernel.log_marginal(data[np.array(d) == j]) for j in set(d)))
+    total = sum(exact.values())
+    likely = [d for d in exact if exact[d] > 0.01 * total]
+    state = make_state([0.1, 0.3, 0.5, 0.7], slots, [0.01] * 3, [0, 0, 0],
+                       [kernel.sample_prior(np.random.default_rng(0))] * len(slots))
+    rng = np.random.default_rng(2004)
+    freq = np.zeros((20, len(likely)))
+    for batch in freq:
+        visits = Counter()
+        for _ in range(1500):
+            mcmc._split_merge(state, data, spec, kernel, rng)
+            visits[tuple(state.d.tolist())] += 1
+        batch[:] = [visits[d] / 1500 for d in likely]
+    assert state.lengths.atom_index[:len(slots)] == slots
+    target = np.array([exact[d] for d in likely]) / total
+    t_stat = (freq.mean(axis=0) - target) / (freq.std(axis=0, ddof=1) / math.sqrt(20))
+    assert np.max(np.abs(t_stat)) < 5.0, (likely, t_stat.round(1))
+
+
 def test_label_swap_closes_an_empty_stick():
     # stick 0 is empty and stick 1 holds both data: the swap has ratio
     # (1 - v_1)^0 / (1 - v_0)^2 > 1, so it is made without a uniform, and the
@@ -796,11 +832,14 @@ def test_map_select_rules():
     b.map_score = -5.0
     assert map_select([a, b]) == 0  # earliest wins ties
     assert map_select([a]) == 0
-    # a sweep without a collapsed score is left out, and one must be left
+    # a sweep without a collapsed score is left out; with none left, the
+    # complete-data score decides
     a.map_score = math.nan
     assert map_select([a, b]) == 1
-    with pytest.raises(ValueError, match="collapsed score"):
-        map_select([a])
+    b.map_score = math.nan
+    a.log_score, b.log_score = -2.0, -1.0
+    assert map_select([a, b]) == 1
+    assert map_select([a]) == 0
 
 
 @pytest.mark.parametrize("kernel", [UNIVARIATE, BIVARIATE], ids=["univariate", "bivariate"])
@@ -819,6 +858,8 @@ def test_log_marginal_is_the_product_of_predictives(kernel):
                                                df=nu - 1.0)
     assert kernel.log_marginal(ys) == pytest.approx(ref, rel=1e-10)
     assert kernel.log_marginal(ys[:0]) == 0.0
+    # the same block read through the row sums of its sufficient statistics
+    assert kernel.log_marginal(None, kernel.suff(ys).sum(axis=1)) == pytest.approx(ref, rel=1e-10)
 
 
 def test_fit_stores_the_collapsed_score_on_each_snapshot():
